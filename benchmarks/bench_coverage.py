@@ -1,7 +1,7 @@
 """Coverage-plane benchmark: the native coverage matvec vs scipy.
 
 The coverage plane — ``member_counts`` / ``member_counts_batch`` /
-``deficit_vector`` / ``scatter_cover`` — is the per-epoch cost every
+``deficit_vector`` — is the per-epoch cost every
 resident consumer pays: the maintenance loop's verify step, the service
 snapshot capture, the demotion prefilter.  This PR ports it to the
 compiled runtime behind the kernel provider registry

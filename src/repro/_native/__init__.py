@@ -192,9 +192,6 @@ def lib() -> ctypes.CDLL | None:
             i64p, i64p, ctypes.c_int64, u8p,
             ctypes.c_int64, ctypes.c_int64, i64p]
         cdll.repro_deficit.restype = None
-        cdll.repro_scatter_cover.argtypes = [
-            ctypes.c_int64, i64p, i64p, i64p, ctypes.c_int64, i64p, i64p]
-        cdll.repro_scatter_cover.restype = None
         f64p = ctypes.POINTER(ctypes.c_double)
         cdll.repro_inbox_reduce.argtypes = [
             i64p, f64p, u8p, f64p, ctypes.c_int64, ctypes.c_int64, f64p]
@@ -523,18 +520,3 @@ def state_scatter(idx, values, out) -> None:
                                          ctypes.c_int64(hi), outp)
 
     _run_slabs(call, idx.size)
-
-
-def scatter_cover(promoted, indptr, indices, sign: int, coverage,
-                  touched) -> None:
-    """Native frontier scatter; see repro_scatter_cover.  ``touched``
-    must have capacity ``sum(indptr[p+1] - indptr[p])`` over the
-    promoted rows; serial (overlapping balls would race)."""
-    cdll = lib()
-    assert cdll is not None
-    cdll.repro_scatter_cover(
-        ctypes.c_int64(promoted.size),
-        _ptr(promoted, ctypes.c_int64),
-        _ptr(indptr, ctypes.c_int64), _ptr(indices, ctypes.c_int64),
-        ctypes.c_int64(int(sign)),
-        _ptr(coverage, ctypes.c_int64), _ptr(touched, ctypes.c_int64))

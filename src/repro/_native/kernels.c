@@ -336,28 +336,6 @@ void repro_deficit(const int64_t *counts, const int64_t *req,
     }
 }
 
-/* Incremental frontier update: bump coverage by `sign` over the closed
- * ball of every promoted row, appending each touched index (with
- * duplicates, in CSR segment order -- exactly numpy's concatenate
- * order) to `touched`, whose capacity the caller precomputes from the
- * indptr diffs.  Serial on purpose: promoted balls overlap, so
- * threading would race the increments; calls are small by design
- * (they replace O(n) rescans with O(ball) work). */
-void repro_scatter_cover(int64_t P, const int64_t *promoted,
-                         const int64_t *indptr, const int64_t *indices,
-                         int64_t sign, int64_t *coverage, int64_t *touched)
-{
-    int64_t t = 0;
-    for (int64_t p = 0; p < P; ++p) {
-        const int64_t v = promoted[p];
-        for (int64_t e = indptr[v]; e < indptr[v + 1]; ++e) {
-            const int64_t u = indices[e];
-            coverage[u] += sign;
-            touched[t++] = u;
-        }
-    }
-}
-
 /* One election round over replicas [r_lo, r_hi).
  *
  * For each within-degree>0 node sub[s] and each replica r where that

@@ -38,8 +38,7 @@ import numpy as np
 from repro.engine import (Instrumentation, RoundProgram, execute,
                           execute_batch, execute_grid, validate_seed)
 from repro.engine import kernels
-from repro.engine.artifacts import StackedGraphs, graph_artifacts, \
-    stacked_graphs
+from repro.engine.artifacts import graph_artifacts, stacked_graphs
 from repro.errors import GeometryError, GraphError
 from repro.graphs.udg import UnitDiskGraph
 from repro.simulation.messages import Message
@@ -48,7 +47,6 @@ from repro.simulation.rng import spawn_node_rngs
 from repro.engine import dispatch
 from repro.simulation.vecrng import (GridReplicaStreams,
                                      materialize_bit_generator,
-                                     node_stream_pool,
                                      replica_node_streams,
                                      vector_streams_available)
 from repro.types import DominatingSet, NodeId, RunStats
@@ -223,134 +221,100 @@ def _part_two_direct(udg: UnitDiskGraph, leaders: Set[int], k: int,
 
 
 # ======================================================================
-# Direct mode — vectorized kernel implementation
+# Direct mode — lane-space kernel implementation
 #
-# Same algorithm on the CSR kernel layer (repro.engine.kernels): the
-# election is two scatter-max passes over the flattened distance CSR,
-# adoption coverage is one matvec plus scatter-add frontier updates.
-# Per-node RNG draws happen in exactly the reference order, so members,
-# details, and RunStats are bit-identical to the functions above.
+# The same algorithm on the CSR kernel layer (repro.engine.kernels),
+# with a lane per (replica, graph, node): one identifier draw and one
+# election reduction advance every replica of every stacked topology,
+# and adoption coverage is one (R, n) mat-mat plus ball walks.  Each
+# lane's RNG stream and update order are exactly the per-node
+# reference's, so members, details and RunStats are bit-identical to
+# the functions above (tests/test_mode_equivalence.py), and every
+# replica / graph block is bit-identical to its own single run
+# (test_mode_equivalence.py's batch section,
+# tests/test_grid_equivalence.py).  A single solve is the R = G = 1
+# case.
 # ======================================================================
 
-def _part_one_kernel(udg: UnitDiskGraph, pool, details: dict) -> Set[int]:
-    n = udg.n
+def _part_one_kernel_batch(dist_csr, n: int, streams,
+                           details_grid: List[List[dict]], *,
+                           cache: dict | None = None) -> np.ndarray:
+    """Part I over ``G`` same-size topologies and ``R`` replicas.
+
+    ``dist_csr`` is the flattened distance CSR of one graph
+    (:func:`~repro.engine.kernels.udg_distance_csr`, ``G = 1``) or the
+    block-diagonal one of a
+    :class:`~repro.engine.artifacts.StackedGraphs` bundle of ``G``
+    graphs of ``n`` nodes each
+    (:func:`~repro.engine.kernels.stacked_distance_csr`); a shared
+    theta schedule is what makes the rounds stackable.  ``streams`` is
+    the matching lane pool (lane = replica, graph, node) and
+    ``details_grid[g][r]`` receives graph ``g``'s replica ``r``
+    details.  Returns the ``(R, G * n)`` active plane.  The CSR is
+    block-diagonal and each lane's stream advancement depends only on
+    its own mask history, so every (replica, graph) block is
+    bit-identical to a run on that graph and seed alone.
+
+    ``cache``: optional dict (a stack's ``kernel_cache``) for the
+    per-round within-radius compressions.  They depend only on the
+    static distances and the static schedule, so repeated dispatches
+    over the same stack skip the O(m) scans entirely.
+    """
+    indptr, src, nbr, dist = dist_csr
+    total = indptr.size - 1
+    G = len(details_grid)
+    R = len(streams.seeds)
     schedule = theta_schedule(n)
     id_hi = min(_id_space(n), _MAX_SAMPLED_ID)
-    details["theta_per_round"] = list(schedule)
-    details["active_per_round"] = [n]
+    for per_graph in details_grid:
+        for details in per_graph:
+            details["theta_per_round"] = list(schedule)
+            details["active_per_round"] = [n]
 
-    _, src, nbr, dist = kernels.udg_distance_csr(udg)
-    active = np.ones(n, dtype=bool)
-    ids = np.zeros(n, dtype=np.int64)
-    for theta in schedule:
-        # One identifier per active node from the node's own stream
-        # (lane == node id here); the batched draw consumes each stream
-        # exactly as the reference's ascending per-node loop does.
-        lanes = np.nonzero(active)[0]
-        ids[lanes] = pool.draw_ints(lanes, id_hi)
-        active = kernels.elect_round(src, nbr, dist <= theta, active, ids)
-        details["active_per_round"].append(int(active.sum()))
-    return set(np.nonzero(active)[0].tolist())
-
-
-def _part_two_kernel(art, leaders: Set[int], k: int, pool, policy: str,
-                     details: dict) -> Set[int]:
-    n = art.n
-    leader = np.zeros(n, dtype=bool)
-    if leaders:
-        leader[sorted(leaders)] = True
-    coverage = kernels.member_counts(art, indicator=leader,
-                                     convention="closed")
-    deficient = (~leader) & (coverage < k)
-    closed = art.closed_nbrs
-
-    iterations = 0
-    adopted_total = 0
-    while deficient.any():
-        iterations += 1
-        frontier = np.nonzero(deficient)[0]
-        # Leaders adjacent to the frontier (closed balls are symmetric:
-        # a leader sees a deficient candidate iff it sits in one of the
-        # frontier's closed balls) — everyone else has no candidates.
-        ball = np.unique(np.concatenate([closed[u] for u in frontier]))
-        actors = ball[leader[ball]]
-        picks = np.zeros(n, dtype=bool)
-        for v in actors.tolist():
-            cand = closed[v][deficient[closed[v]]]
-            if cand.size <= k:
-                picks[cand] = True
-            else:
-                picks[_pick(pool.generator(v), cand.tolist(), k,
-                            policy)] = True
-        if not picks.any():
-            # Degenerate-input livelock guard (see reference).
-            picks = deficient.copy()
-        newly = np.nonzero(picks & ~leader)[0]
-        leader[newly] = True
-        adopted_total += int(newly.size)
-        touched = kernels.scatter_cover(coverage, art, newly)
-        deficient[touched] = (~leader[touched]) & (coverage[touched] < k)
-
-    details["part2_iterations"] = iterations
-    details["part2_adopted"] = adopted_total
-    return set(np.nonzero(leader)[0].tolist())
-
-
-# ======================================================================
-# Direct mode — replica-batched kernel implementation
-#
-# The same two kernel phases generalized so a lane is a (replica, node)
-# pair: one identifier draw and one election reduction advance the
-# whole Monte Carlo sweep, and adoption coverage is one (R, n) mat-mat.
-# Each replica's RNG streams and update order are exactly the
-# single-replica kernel's, so per-replica results are bit-identical to
-# the sequential per-seed loop (pinned by test_mode_equivalence.py).
-# ======================================================================
-
-def _part_one_kernel_batch(udg: UnitDiskGraph, streams,
-                           details_list: List[dict]) -> np.ndarray:
-    n = udg.n
-    R = len(details_list)
-    schedule = theta_schedule(n)
-    id_hi = min(_id_space(n), _MAX_SAMPLED_ID)
-    for details in details_list:
-        details["theta_per_round"] = list(schedule)
-        details["active_per_round"] = [n]
-
-    indptr, src, nbr, dist = kernels.udg_distance_csr(udg)
-    active = np.ones((R, n), dtype=bool)
-    ids = np.zeros((R, n), dtype=np.int64)
+    active = np.ones((R, total), dtype=bool)
+    ids = np.zeros((R, total), dtype=np.int64)
     flat_ids = ids.reshape(-1)
-    for theta in schedule:
-        within = dist <= theta
-        # A node's identifier this round can only be *read* if it has a
-        # within-neighbor to compare against (own election) or is some
-        # other node's within-candidate.  Every other draw must still
-        # happen — stream positions are part of the bit-exactness
-        # contract — but its value is provably unread, so the draw
-        # skips materializing it (vecrng's ``need`` mask).  In the
-        # early doubling rounds that is almost every lane.
-        within_csr = kernels.compress_within(indptr, nbr, within)
-        need_node = within_csr[0] > 0
-        need_node |= np.bincount(within_csr[2], minlength=n).astype(bool)
-        # One identifier per active (replica, node) stream; ascending
-        # flat-lane order consumes each stream exactly as the replica's
-        # own single-run batched draw would.  Drawing straight into the
-        # persistent ids plane (``out=``) skips an extract/scatter pair
-        # per round; lanes outside mask & need end up stale or
-        # unspecified — provably unread this round, and refreshed
-        # before any round that does read them.
+    for ri, theta in enumerate(schedule):
+        ent = None if cache is None else cache.get(("part1", ri, R))
+        if ent is None:
+            within = dist <= theta
+            within_csr = kernels.compress_within(indptr, nbr, within)
+            prep = kernels.elect_prep(within_csr)
+            # A node's identifier this round can only be *read* if it
+            # has a within-neighbor to compare against (own election)
+            # or is some other node's within-candidate.  Every other
+            # draw must still happen — stream positions are part of
+            # the bit-exactness contract — but its value is provably
+            # unread, so the draw skips materializing it (vecrng's
+            # ``need`` mask).  In the early doubling rounds that is
+            # almost every lane.
+            need_node = within_csr[0] > 0
+            need_node |= np.bincount(within_csr[2],
+                                     minlength=total).astype(bool)
+            ent = (within, within_csr, prep, np.tile(need_node, R))
+            if cache is not None:
+                cache[("part1", ri, R)] = ent
+        within, within_csr, prep, need = ent
+        # One identifier per active lane; ascending flat-lane order
+        # consumes each stream exactly as the per-node loop does.
+        # Drawing straight into the persistent ids plane (``out=``)
+        # skips an extract/scatter pair per round; lanes outside
+        # mask & need end up stale or unspecified — provably unread
+        # this round, and refreshed before any round that reads them.
         streams.draw_ints_masked(active.reshape(-1), id_hi,
-                                 need=np.tile(need_node, R), out=flat_ids)
+                                 need=need, out=flat_ids)
         # The masked draw left 0 on every needed-but-inactive lane, so
         # the ids plane doubles as the inactive-masked candidate plane.
         active = kernels.elect_round_batch(indptr, src, nbr, within,
                                            active, ids,
                                            within_csr=within_csr,
-                                           ids_masked=True)
-        counts = active.sum(axis=1)
-        for r, details in enumerate(details_list):
-            details["active_per_round"].append(int(counts[r]))
+                                           prep=prep, ids_masked=True)
+        # One (R, G) reduction per round: blocks are contiguous slices
+        # of one common width, so the plane reshapes directly.
+        counts = active.reshape(R, G, n).sum(axis=2)
+        for g, per_graph in enumerate(details_grid):
+            for r, details in enumerate(per_graph):
+                details["active_per_round"].append(int(counts[r, g]))
     return active
 
 
@@ -523,76 +487,15 @@ def _part_two_kernel_batch(art, leader: np.ndarray, k, streams,
 
 
 # ======================================================================
-# Direct mode — grid-batched kernel implementation
+# Direct mode — k-fused adoption streams for the grid path
 #
-# One more axis: a lane is a (replica, graph, node) triple over a
-# stacked (block-diagonal) distance CSR, so Part I of every same-n
-# topology in the grid runs in one kernel dispatch; the k axis is then
-# fused over that single Part I (Part I never reads k), re-running only
-# the adoption phase per k value.  Per-(graph, k, replica) results are
+# The grid path runs Part I once per same-n group of stacked topologies
+# (:func:`_part_one_kernel_batch` with G > 1); the k axis is then fused
+# over that single Part I (Part I never reads k), re-running only the
+# adoption phase per k value.  Per-(graph, k, replica) results are
 # bit-identical to the per-point replica-batched path (pinned by
 # tests/test_grid_equivalence.py).
 # ======================================================================
-
-def _part_one_kernel_grid(stack: StackedGraphs, streams: GridReplicaStreams,
-                          details_grid: List[List[dict]]) -> np.ndarray:
-    """Part I over a same-n group of stacked topologies.
-
-    ``stack`` holds G graphs of one common size ``n`` (a shared theta
-    schedule is what makes the rounds stackable); ``streams`` is the
-    matching ``G x R x n`` grid pool.  Returns the ``(R, total)`` active
-    plane.  The stacked CSR is block-diagonal and each lane's stream
-    advancement depends only on its own mask history, so every graph
-    block is bit-identical to :func:`_part_one_kernel_batch` on that
-    graph alone.
-
-    The per-round within-radius compressions depend only on the (static)
-    stacked distances and the (static) schedule, so they are cached on
-    the stack's ``kernel_cache`` — repeated grid dispatches over the
-    same stack skip the O(m) scans entirely.
-    """
-    n = int(stack.counts[0]) if len(stack.graphs) else 0
-    total = stack.total
-    R = len(streams.seeds)
-    schedule = theta_schedule(n)
-    id_hi = min(_id_space(n), _MAX_SAMPLED_ID)
-    for per_graph in details_grid:
-        for details in per_graph:
-            details["theta_per_round"] = list(schedule)
-            details["active_per_round"] = [n]
-
-    indptr, src, nbr, dist = kernels.stacked_distance_csr(stack)
-    active = np.ones((R, total), dtype=bool)
-    ids = np.zeros((R, total), dtype=np.int64)
-    flat_ids = ids.reshape(-1)
-    G = len(stack.graphs)
-    cache = stack.kernel_cache
-    for ri, theta in enumerate(schedule):
-        ent = cache.get(("part1", ri, R))
-        if ent is None:
-            within = dist <= theta
-            within_csr = kernels.compress_within(indptr, nbr, within)
-            prep = kernels.elect_prep(within_csr)
-            need_node = within_csr[0] > 0
-            need_node |= np.bincount(within_csr[2],
-                                     minlength=total).astype(bool)
-            ent = (within, within_csr, prep, np.tile(need_node, R))
-            cache[("part1", ri, R)] = ent
-        within, within_csr, prep, need = ent
-        streams.draw_ints_masked(active.reshape(-1), id_hi,
-                                 need=need, out=flat_ids)
-        active = kernels.elect_round_batch(indptr, src, nbr, within,
-                                           active, ids,
-                                           within_csr=within_csr,
-                                           prep=prep, ids_masked=True)
-        # One (R, G) reduction per round: blocks are contiguous slices
-        # of one common width, so the plane reshapes directly.
-        counts = active.reshape(R, G, n).sum(axis=2)
-        for g, per_graph in enumerate(details_grid):
-            for r, details in enumerate(per_graph):
-                details["active_per_round"].append(int(counts[r, g]))
-    return active
-
 
 class _GridAdoptionStreams:
     """Per-row generator streams for the k-fused adoption phase.
@@ -812,25 +715,11 @@ class UDGProgram(RoundProgram):
         return 2 * len(theta_schedule(n)) + 3 * (n + 1) + 8
 
     def direct(self, instr: Instrumentation) -> DominatingSet:
-        udg, k, policy = self.udg, self.k, self.policy
-        if not kernels.supports_kernel_election(udg):
+        if not kernels.supports_kernel_election(self.udg):
             # A UDG subclass with bespoke sensing semantics: stay on the
             # per-node reference path (correctness over speed).
             return self.direct_reference(instr)
-        details: dict = {"mode": "direct", "k": k}
-        pool = node_stream_pool(
-            range(udg.n), self.seed,
-            bounded_ranges=(min(_id_space(udg.n), _MAX_SAMPLED_ID) - 1,))
-
-        leaders = _part_one_kernel(udg, pool, details)
-        details["part1_leaders"] = len(leaders)
-        members = _part_two_kernel(self.artifacts, leaders, k, pool,
-                                   policy, details)
-
-        instr.charge_rounds(2 * len(details["theta_per_round"])
-                            + 2 + 3 * details["part2_iterations"])
-        return DominatingSet(members=members, stats=instr.stats,
-                             details=details)
+        return self.direct_batch([instr], [self.seed])[0]
 
     def supports_direct_batch(self) -> bool:
         # The batched path runs on the distance CSR; exotic sensing
@@ -838,9 +727,10 @@ class UDGProgram(RoundProgram):
         return kernels.supports_kernel_election(self.udg)
 
     def direct_batch(self, instrs, seeds) -> List[DominatingSet]:
-        """Replica-batched :meth:`direct`: the whole seed sweep in one
-        kernel pass per phase (lane = (replica, node)).  Bit-identical
-        per replica to the sequential per-seed loop."""
+        """The kernel path: the whole seed sweep in one kernel pass per
+        phase (lane = (replica, node)).  Bit-identical per replica to
+        the sequential per-seed loop; :meth:`direct` is the one-seed
+        case."""
         udg, k, policy = self.udg, self.k, self.policy
         n = udg.n
         details_list: List[dict] = [{"mode": "direct", "k": k}
@@ -849,10 +739,10 @@ class UDGProgram(RoundProgram):
             range(n), seeds,
             bounded_ranges=(min(_id_space(n), _MAX_SAMPLED_ID) - 1,))
 
-        active = _part_one_kernel_batch(udg, streams, details_list)
-        leader = active.copy()
+        leader = _part_one_kernel_batch(kernels.udg_distance_csr(udg), n,
+                                        streams, [details_list])
         for r, details in enumerate(details_list):
-            details["part1_leaders"] = int(active[r].sum())
+            details["part1_leaders"] = int(leader[r].sum())
         _part_two_kernel_batch(self.artifacts, leader, k, streams, policy,
                                details_list)
 
@@ -919,7 +809,9 @@ class UDGProgram(RoundProgram):
             streams = GridReplicaStreams([n] * len(idxs), seeds)
             details_grid: List[List[dict]] = \
                 [[{} for _ in range(R)] for _ in idxs]
-            active = _part_one_kernel_grid(stack, streams, details_grid)
+            active = _part_one_kernel_batch(
+                kernels.stacked_distance_csr(stack), n, streams,
+                details_grid, cache=stack.kernel_cache)
             # Initial closed coverage for every graph block at once.
             cov0 = kernels.member_counts_stacked(stack, indicators=active,
                                                  convention="closed")
@@ -1020,10 +912,12 @@ def part_one_leaders(graph, *, seed: int | None = None) -> DominatingSet:
     if udg.n == 0:
         return DominatingSet(members=set(), details=details)
     if kernels.supports_kernel_election(udg):
-        pool = node_stream_pool(
-            range(udg.n), seed,
+        streams = replica_node_streams(
+            range(udg.n), [seed],
             bounded_ranges=(min(_id_space(udg.n), _MAX_SAMPLED_ID) - 1,))
-        leaders = _part_one_kernel(udg, pool, details)
+        active = _part_one_kernel_batch(kernels.udg_distance_csr(udg),
+                                        udg.n, streams, [[details]])
+        leaders = _members_set(active[0])
     else:
         rngs = spawn_node_rngs(range(udg.n), seed)
         leaders = _part_one_direct(udg, rngs, details)

@@ -40,7 +40,11 @@ rather than assume insertion order.
 Staleness detection
 -------------------
 The cache is a :class:`weakref.WeakKeyDictionary` keyed by the underlying
-``networkx.Graph`` object, so artifacts die with their graph.  Staleness
+``networkx.Graph`` object.  A bundle holds its graph only weakly
+(:attr:`GraphArtifacts.graph` reads ``None`` once nothing else holds
+it), so the cached value never keeps its own key alive and artifacts
+die with their graph; :class:`StackedGraphs` holds its graphs the same
+way for the stack cache.  Staleness
 is detected by a **monotonic version token**: every graph carries a
 mutation token (lazily assigned), bumped by :func:`touch` whenever code
 mutates a graph in place.  A cached entry built at an older token is
@@ -88,7 +92,8 @@ class GraphArtifacts:
     """
 
     def __init__(self, graph: nx.Graph):
-        self.graph = graph
+        # Weak, so a cached bundle never keeps its own cache key alive.
+        self._graph_ref = weakref.ref(graph)
         self.nodes: List[NodeId] = list(graph.nodes)
         self.index: Dict[NodeId, int] = {v: i for i, v in enumerate(self.nodes)}
         self.n = len(self.nodes)
@@ -121,6 +126,12 @@ class GraphArtifacts:
         self._closed_idx32: Optional[np.ndarray] = None
         self._nodes_array: Optional[np.ndarray] = None
         _STATS["full_rebuilds"] += 1
+
+    @property
+    def graph(self) -> Optional[nx.Graph]:
+        """The graph this bundle was built from (``None`` once nothing
+        else holds it)."""
+        return self._graph_ref()
 
     # ``delta`` predates the incremental API and names the paper's max
     # degree; keep it readable while ``delta()`` hands out patchers.
@@ -430,9 +441,13 @@ class StackedGraphs:
     """
 
     def __init__(self, graphs):
-        self.graphs = list(graphs)
+        graphs = list(graphs)
+        # Weak, like GraphArtifacts.graph: the stack cache is keyed by
+        # the first graph, so a strong list would pin every stacked
+        # graph forever.
+        self._graph_refs = [weakref.ref(g) for g in graphs]
         self.artifacts: List[GraphArtifacts] = [
-            graph_artifacts(g) for g in self.graphs]
+            graph_artifacts(g) for g in graphs]
         self.counts = np.asarray([a.n for a in self.artifacts],
                                  dtype=np.int64)
         self.offsets = np.zeros(len(self.artifacts) + 1, dtype=np.int64)
@@ -442,8 +457,14 @@ class StackedGraphs:
         self._closed_adjacency: Optional[sp.csr_matrix] = None
         self.kernel_cache: Dict = {}
 
+    @property
+    def graphs(self) -> list:
+        """The stacked graphs (``None`` entries once nothing else holds
+        them)."""
+        return [ref() for ref in self._graph_refs]
+
     def __len__(self) -> int:
-        return len(self.graphs)
+        return len(self._graph_refs)
 
     def graph_slice(self, g: int) -> Tuple[int, int]:
         """``(offset, n)`` of graph ``g`` in the stacked index space."""

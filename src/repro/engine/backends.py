@@ -176,8 +176,7 @@ def execute_batch(program: RoundProgram, seeds: Sequence[int],
                   delay_seed: int | None = None,
                   injectors: Iterable = (),
                   legacy_transport: bool = False,
-                  reference_direct: bool = False,
-                  force_sequential: bool = False) -> list:
+                  reference_direct: bool = False) -> list:
     """Run ``program`` once per seed; returns one result per seed.
 
     On the ``direct`` backend, a program that implements
@@ -189,13 +188,13 @@ def execute_batch(program: RoundProgram, seeds: Sequence[int],
     seed=s) for s in seeds]`` (pinned by the batch-equivalence suite in
     ``tests/test_mode_equivalence.py``).  Everything else — message
     backends, ``reference_direct``, programs without a batched kernel,
-    ``seed=None`` replicas, or ``force_sequential=True`` (the benchmark
-    baseline) — falls back to exactly that sequential loop.
+    or ``seed=None`` replicas — falls back to exactly that sequential
+    loop.
     """
     backend = resolve_backend(mode)
     seed_list = [validate_seed(s) for s in seeds]
     injectors = list(injectors)
-    if (backend == "direct" and not force_sequential and not reference_direct
+    if (backend == "direct" and not reference_direct
             and not injectors and seed_list
             and all(s is not None for s in seed_list)
             and program.supports_direct_batch()):

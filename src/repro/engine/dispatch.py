@@ -4,7 +4,7 @@ Every hot entry point of the library — the RNG limb kernels
 (``seed_lanes`` / ``draw_masked``), the election scan (``elect_batch``),
 the Part II ball walks (``ball_phase`` / ``ball_adopt``) and the
 coverage plane (``member_counts`` / ``member_counts_batch`` /
-``deficit_vector`` / ``scatter_cover``) and the columnar protocol
+``deficit_vector``) and the columnar protocol
 plane's round reductions (``inbox_reduce`` / ``state_scatter``) —
 resolves its implementation here instead of probing ``repro._native``
 directly.  Three providers:
@@ -57,8 +57,7 @@ BACKENDS = ("auto", "native", "numba", "numpy")
 
 #: entry point -> auto-mode engagement threshold, in flat work items
 #: (lanes for the RNG kernels, replicas x candidates for the election,
-#: rows x replicas for the coverage matvec, touched entries for the
-#: scatter).  Below the threshold the numpy path wins on call overhead;
+#: rows x replicas for the coverage matvec).  Below the threshold the numpy path wins on call overhead;
 #: forced backends bypass the thresholds (tests pin tiny shapes).
 MIN_SIZE: Dict[str, int] = {
     "seed_lanes": 4096,
@@ -69,7 +68,6 @@ MIN_SIZE: Dict[str, int] = {
     "member_counts": 2048,
     "member_counts_batch": 4096,
     "deficit_vector": 4096,
-    "scatter_cover": 1,
     "inbox_reduce": 2048,
     "state_scatter": 4096,
 }
@@ -78,11 +76,11 @@ ENTRY_POINTS = tuple(MIN_SIZE)
 
 #: Entries served by the numba provider (the coverage plane).
 _NUMBA_ENTRIES = frozenset({"member_counts", "member_counts_batch",
-                            "deficit_vector", "scatter_cover"})
+                            "deficit_vector"})
 
 #: Entries whose native shim slab-threads (REPRO_NATIVE_THREADS); the
-#: ball walks and the frontier scatter are serial by design (their
-#: scatter targets overlap across work items).
+#: ball walks are serial by design (their scatter targets overlap
+#: across work items).
 _THREADED_ENTRIES = frozenset({"seed_lanes", "draw_masked", "elect_batch",
                                "member_counts", "member_counts_batch",
                                "deficit_vector", "inbox_reduce",

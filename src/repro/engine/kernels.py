@@ -5,22 +5,28 @@ the kernel layer the ``mode="direct"`` backends of Algorithms 2 and 3
 are built on.  Everything here operates in **artifact index space**
 (``art.index[v] -> i``, ``art.nodes[i] -> v``) on numpy arrays:
 
-- :func:`member_indicator` / :func:`member_counts` — per-node dominator
-  counts as one sparse matvec over the closed-adjacency CSR (the only
-  place in the library that counts coverage; :mod:`repro.core.verify`,
-  the dynamics loop, and both direct kernels all route through it);
-- :func:`deficit_vector` / :func:`surplus_vector` — signed slack against
-  a requirement vector, the signals the maintenance loop repairs
-  (deficit) and the Lemma-5.5-style decay pass reclaims (surplus);
-- :func:`scatter_cover` — incremental coverage update for a batch of
-  promotions (scatter-add over the promoted nodes' closed balls), the
-  frontier primitive that replaces O(n)-per-iteration rescans;
+- :func:`member_indicator` / :func:`member_counts` (and the
+  ``_batch`` / ``_stacked`` replica and grid forms) — per-node
+  dominator counts as one sparse matvec over the closed-adjacency CSR
+  (the only place in the library that counts coverage;
+  :mod:`repro.core.verify`, the dynamics loop, and both direct kernels
+  all route through it);
+- :func:`deficit_vector` — ``max(0, required - counts)`` with members
+  exempt, the signal the maintenance loop repairs;
+- :func:`scatter_cover_batch` — incremental coverage update for a batch
+  of (replica, node) promotions (scatter-add over the promoted nodes'
+  closed balls), the frontier primitive of Algorithm 3 Part II's numpy
+  path;
 - :func:`demotion_candidates` — the vectorized safety prefilter for
   demoting over-covering dominators (scatter-min of client coverage);
-- :func:`udg_distance_csr` / :func:`supports_kernel_election` /
-  :func:`elect_round` — the flattened distance-sorted adjacency of a
-  :class:`~repro.graphs.udg.UnitDiskGraph` and the lexicographic-argmax
-  election kernel of Algorithm 3 Part I.
+- :func:`udg_distance_csr` / :func:`stacked_distance_csr` /
+  :func:`supports_kernel_election` — the flattened distance-sorted
+  adjacency of a :class:`~repro.graphs.udg.UnitDiskGraph` (or of a
+  stack of them);
+- :func:`compress_within` / :func:`elect_prep` /
+  :func:`elect_round_batch` — one round's within-radius edge set and
+  the lexicographic-argmax election of Algorithm 3 Part I over
+  ``(replica, node)`` lane planes.
 
 RNG discipline
 --------------
@@ -50,17 +56,13 @@ __all__ = [
     "member_counts_batch",
     "member_counts_stacked",
     "deficit_vector",
-    "deficit_vector_batch",
-    "surplus_vector",
-    "surplus_vector_batch",
-    "scatter_cover",
     "scatter_cover_batch",
     "demotion_candidates",
     "udg_distance_csr",
     "stacked_distance_csr",
     "supports_kernel_election",
-    "supports_stacked_election",
-    "elect_round",
+    "compress_within",
+    "elect_prep",
     "elect_round_batch",
 ]
 
@@ -88,17 +90,13 @@ def member_indicator(art: GraphArtifacts, members: Iterable) -> np.ndarray:
 def _counts_native(impl, indptr, idx32, mask: np.ndarray, n: int, R: int,
                    convention: str) -> np.ndarray:
     """Run a dispatched coverage-matvec provider over a boolean mask
-    plane.  ``mask`` is (n,) when R == 1, else (R, n); the batch shape
-    is handed to the kernel lane-interleaved ((n, R) uint8 — one
-    gathered row index serves all R lanes), which is where the batch
-    speedup comes from."""
+    plane.  ``mask`` is (n,) or (R, n), and the counts come back in the
+    same shape; the batch shape is handed to the kernel lane-interleaved
+    ((n, R) uint8 — one gathered row index serves all R lanes), which is
+    where the batch speedup comes from.  One row needs no transpose."""
     open_conv = 1 if convention == "open" else 0
-    if R == 1:
-        xT = np.ascontiguousarray(mask).view(np.uint8)
-        out = np.empty(n, dtype=np.int64)
-    else:
-        xT = np.ascontiguousarray(mask.T).view(np.uint8)
-        out = np.empty((R, n), dtype=np.int64)
+    xT = np.ascontiguousarray(mask if R == 1 else mask.T).view(np.uint8)
+    out = np.empty(mask.shape, dtype=np.int64)
     impl(n, R, indptr, idx32, xT, open_conv, out)
     return out
 
@@ -231,75 +229,17 @@ def deficit_vector(art: GraphArtifacts, counts: np.ndarray,
     return deficit
 
 
-def deficit_vector_batch(art: GraphArtifacts, counts: np.ndarray,
-                         required: np.ndarray | int, *,
-                         member_mask: np.ndarray | None = None
-                         ) -> np.ndarray:
-    """Replica-batched :func:`deficit_vector` over ``(R, n)`` counts.
-
-    ``required`` broadcasts ((n,) vector or scalar, shared topology =
-    shared requirements); ``member_mask`` is an ``(R, n)`` boolean of
-    per-replica members to exempt.
-    """
-    deficit = np.maximum(np.asarray(required, dtype=np.int64) - counts, 0)
-    if member_mask is not None:
-        deficit[member_mask] = 0
-    return deficit
-
-
-def surplus_vector(art: GraphArtifacts, counts: np.ndarray,
-                   required: np.ndarray | int) -> np.ndarray:
-    """Signed per-node slack ``counts - required`` (the decay signal:
-    a client at surplus >= 1 tolerates losing one dominator)."""
-    return counts - np.asarray(required, dtype=np.int64)
-
-
-def surplus_vector_batch(art: GraphArtifacts, counts: np.ndarray,
-                         required: np.ndarray | int) -> np.ndarray:
-    """Replica-batched :func:`surplus_vector` (``required`` broadcasts
-    over the replica axis of ``(R, n)`` counts)."""
-    return counts - np.asarray(required, dtype=np.int64)
-
-
-def scatter_cover(coverage: np.ndarray, art: GraphArtifacts,
-                  promoted_idx: np.ndarray, sign: int = 1) -> np.ndarray:
-    """Add ``sign`` to every node in the closed ball of each promoted
-    index; returns the concatenated (duplicated) touched indices.
-
-    The incremental-frontier primitive: after a batch of promotions only
-    the returned ball can change deficiency, so callers refresh exactly
-    those entries instead of rescanning all ``n`` nodes.  An int64
-    C-contiguous coverage plane routes through the registry's compiled
-    providers — the same CSR segments in the same order, so the touched
-    list and every increment are identical to the numpy path.
-    """
-    if len(promoted_idx) == 0:
-        return np.zeros(0, dtype=np.int64)
-    if (coverage.ndim == 1 and coverage.dtype == np.int64
-            and coverage.flags.c_contiguous):
-        impl = dispatch.kernel("scatter_cover", len(promoted_idx))
-        if impl is not None:
-            indptr, indices = art.closed_csr_arrays()
-            pi = np.ascontiguousarray(promoted_idx, dtype=np.int64)
-            total = int((indptr[pi + 1] - indptr[pi]).sum())
-            touched = np.empty(total, dtype=np.int64)
-            impl(pi, indptr, indices, int(sign), coverage, touched)
-            return touched
-    touched = np.concatenate([art.closed_nbrs[i] for i in promoted_idx])
-    np.add.at(coverage, touched, sign)
-    return touched
-
-
 def scatter_cover_batch(coverage: np.ndarray, art: GraphArtifacts,
                         rep_idx: np.ndarray, promoted_idx: np.ndarray,
                         sign: int = 1):
-    """Replica-batched :func:`scatter_cover`: add ``sign`` to the closed
-    ball of each ``(rep_idx[j], promoted_idx[j])`` promotion inside the
-    ``(R, n)`` coverage plane.
+    """Add ``sign`` to the closed ball of each ``(rep_idx[j],
+    promoted_idx[j])`` promotion inside the ``(R, n)`` coverage plane.
 
-    Returns the ``(reps, touched)`` index pair (duplicated, aligned)
-    of every updated entry, so callers can refresh deficiency for
-    exactly the touched (replica, node) pairs.
+    The incremental-frontier primitive: after a batch of promotions only
+    the touched balls can change deficiency.  Returns the ``(reps,
+    touched)`` index pair (duplicated, aligned) of every updated entry,
+    so callers refresh deficiency for exactly the touched (replica,
+    node) pairs instead of rescanning the plane.
 
     Balls are gathered from the closed CSR (one vectorized expansion,
     no per-promotion Python), and the scatter-add runs as a flat
@@ -427,38 +367,6 @@ def udg_distance_csr(udg) -> Tuple[np.ndarray, np.ndarray, np.ndarray,
     return out
 
 
-def elect_round(src: np.ndarray, nbr: np.ndarray, within: np.ndarray,
-                active: np.ndarray, ids: np.ndarray) -> np.ndarray:
-    """One Part I election round, vectorized.
-
-    Every active node elects the lexicographically largest ``(id, node)``
-    among itself and its active neighbors at ``within`` distance; a node
-    stays active iff somebody elected it.  Two scatter-max passes give
-    the exact lexicographic argmax without key packing (ids reach
-    ``2^62``, so ``id * n + node`` would overflow int64):
-
-    1. scatter-max of the candidate *ids* per elector;
-    2. scatter-max of the candidate *indices* among id-ties.
-
-    Returns the new active mask.
-    """
-    n = active.shape[0]
-    sel = within & active[src] & active[nbr]
-    s, d = src[sel], nbr[sel]
-    # Pass 1: the winning identifier per elector (self is a candidate).
-    best_id = np.where(active, ids, 0)
-    np.maximum.at(best_id, s, ids[d])
-    # Pass 2: the largest node index achieving it.
-    best_node = np.where(active & (ids == best_id),
-                         np.arange(n, dtype=np.int64), -1)
-    tie = ids[d] == best_id[s]
-    np.maximum.at(best_node, s[tie], d[tie])
-    elected = np.zeros(n, dtype=bool)
-    chosen = best_node[active]
-    elected[chosen[chosen >= 0]] = True
-    return active & elected
-
-
 def compress_within(indptr: np.ndarray, nbr: np.ndarray,
                     within: np.ndarray):
     """Compress one round's within-radius edge set of the distance CSR.
@@ -469,12 +377,16 @@ def compress_within(indptr: np.ndarray, nbr: np.ndarray,
     radius admits the same edges in every replica), so callers driving
     :func:`elect_round_batch` round-by-round compute it once and pass
     it via ``within_csr`` instead of paying the O(m) scan twice.
+
+    The admitted edge positions are found once; the number of them
+    before each row start (a binary search per row) gives the
+    compressed starts, so the only O(m) pass is the mask scan itself —
+    no running count over every edge, which dominated the early
+    doubling rounds, where almost no edge is admitted.
     """
-    wz = np.concatenate(([0], np.cumsum(within, dtype=np.int64)))
-    deg_w = wz[indptr[1:]] - wz[indptr[:-1]]
-    indptr_w = wz[indptr[:-1]]
-    nbr_w = nbr[within]
-    return deg_w, indptr_w, nbr_w
+    pos = np.flatnonzero(within)
+    starts = np.searchsorted(pos, indptr).astype(np.int64, copy=False)
+    return np.diff(starts), starts[:-1], nbr[pos]
 
 
 def elect_prep(within_csr):
@@ -495,11 +407,15 @@ def elect_round_batch(indptr: np.ndarray, src: np.ndarray, nbr: np.ndarray,
                       within: np.ndarray, active: np.ndarray,
                       ids: np.ndarray, *, within_csr=None,
                       prep=None, ids_masked: bool = False) -> np.ndarray:
-    """Replica-batched :func:`elect_round` over ``(R, n)`` lane planes.
+    """One Part I election round over ``(R, n)`` lane planes.
 
-    Same election, same two-pass lexicographic argmax, same results per
-    replica, but organized around the sweep's sparsity instead of
-    scatter-max passes:
+    Every active lane elects the lexicographically largest
+    ``(id, node)`` among itself and its active neighbors at ``within``
+    distance; a lane stays active iff somebody elected it.  Returns the
+    new active plane.  Key packing is out (ids reach ``2^62``, so
+    ``id * n + node`` would overflow int64): two passes give the exact
+    lexicographic argmax — the winning id per elector, then the largest
+    node index achieving it — organized around the sweep's sparsity:
 
     1. the ``within`` edge set is compressed *once* and shared by every
        replica (each round's sensing radius admits the same edges in
@@ -521,8 +437,8 @@ def elect_round_batch(indptr: np.ndarray, src: np.ndarray, nbr: np.ndarray,
     which a positive identifier always beats — no per-candidate
     active-mask pass.  Every compressed segment is non-empty by
     construction (its node has within-degree > 0), so the reduceat
-    needs no empty-segment fixups.  Bit-identical to running
-    :func:`elect_round` once per replica row.
+    needs no empty-segment fixups.  Rows never interact, so each row
+    is bit-identical to a one-replica call on that row alone.
 
     ``ids_masked=True`` asserts the caller's ``ids`` plane *already*
     holds 0 on every inactive candidate lane — exactly what a masked
@@ -583,12 +499,6 @@ def elect_round_batch(indptr: np.ndarray, src: np.ndarray, nbr: np.ndarray,
 # ======================================================================
 # Stacked (grid-batched) variants: one dispatch over G topologies
 # ======================================================================
-
-def supports_stacked_election(graphs) -> bool:
-    """Whether every graph's Part I election can run on the stacked
-    distance CSR (see :func:`supports_kernel_election`)."""
-    return all(supports_kernel_election(g) for g in graphs)
-
 
 def stacked_distance_csr(stack: StackedGraphs):
     """The per-graph :func:`udg_distance_csr` planes of a

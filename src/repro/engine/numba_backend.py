@@ -38,7 +38,7 @@ except ImportError:
         return deco
 
 __all__ = ["available", "member_counts", "member_counts_batch",
-           "deficit_vector", "scatter_cover"]
+           "deficit_vector"]
 
 
 def available() -> bool:
@@ -73,18 +73,6 @@ def _deficit(counts, req, use_req_vec, req_scalar, members, use_members,
         out[i] = d
 
 
-@_njit(cache=True, nogil=True)
-def _scatter(promoted, indptr, indices, sign, coverage, touched):
-    t = 0
-    for p in range(promoted.size):
-        v = promoted[p]
-        for e in range(indptr[v], indptr[v + 1]):
-            u = indices[e]
-            coverage[u] += sign
-            touched[t] = u
-            t += 1
-
-
 def member_counts(n: int, R: int, indptr, idx32, xT, open_conv: int,
                   out) -> None:
     """Coverage matvec; same contract as ``_native.member_counts``."""
@@ -105,9 +93,3 @@ def deficit_vector(counts, req_vec, req_scalar: int, members, out) -> None:
              req_vec is not None, np.int64(req_scalar),
              _EMPTY_U8 if members is None else members,
              members is not None, 0, counts.size, out)
-
-
-def scatter_cover(promoted, indptr, indices, sign: int, coverage,
-                  touched) -> None:
-    """Frontier scatter; same contract as ``_native.scatter_cover``."""
-    _scatter(promoted, indptr, indices, np.int64(sign), coverage, touched)

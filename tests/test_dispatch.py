@@ -222,22 +222,17 @@ class TestProviderEquality:
             assert np.array_equal(got[0], ref[0]), b
             assert np.array_equal(got[1], ref[1]), b
 
-    def test_scatter_cover(self, plane, monkeypatch):
+    def test_member_counts_batch_single_row(self, plane, monkeypatch):
+        # A one-replica plane (every single solve's) keeps its (1, n)
+        # shape on every provider; row 0 is the single-vector count.
         art, masks = plane
-        base = kernels.member_counts(art, indicator=masks[0])
-        promoted = np.nonzero(masks[1])[0][:200]
-        results = {}
         for b in _backends():
             monkeypatch.setenv("REPRO_KERNEL_BACKEND", b)
-            cov = base.copy()
-            touched = kernels.scatter_cover(cov, art, promoted)
-            results[b] = (cov, touched)
-        ref = results.pop("numpy")
-        for b, (cov, touched) in results.items():
-            # The touched list order is part of the contract (callers
-            # zip it against per-promotion metadata).
-            assert np.array_equal(touched, ref[1]), b
-            assert np.array_equal(cov, ref[0]), b
+            got = kernels.member_counts_batch(
+                art, indicators=masks[:1], convention="closed")
+            assert got.shape == (1, art.n), b
+            assert np.array_equal(got[0], kernels.member_counts(
+                art, indicator=masks[0], convention="closed")), b
 
     @needs_native
     def test_thread_count_invariance(self, plane, monkeypatch):

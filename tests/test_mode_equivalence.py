@@ -105,14 +105,25 @@ def _assert_same_result(kernel, reference):
     assert kernel.details == reference.details
 
 
-@pytest.mark.parametrize("seed", SEEDS)
+def _sizes(base):
+    """``(seed, n)`` cases: every seed at ``base`` (the original ids),
+    plus n in {300, 400}.  From n >= 257 the identifier space n^4
+    exceeds 2^32 - 1, so vecrng serves the draws from its vector
+    streams (the path every large solve takes) instead of real
+    per-node Generators."""
+    return ([pytest.param(s, base, id=str(s)) for s in SEEDS]
+            + [pytest.param(s, n, id=f"{s}-n{n}")
+               for n in (300, 400) for s in SEEDS])
+
+
+@pytest.mark.parametrize("seed,n", _sizes(120))
 @pytest.mark.parametrize("k", (1, 2, 3))
 @pytest.mark.parametrize("policy", ("random", "by-id"))
-def test_udg_kernel_matches_reference(policy, k, seed):
+def test_udg_kernel_matches_reference(policy, k, seed, n):
     from repro.core.udg import UDGProgram
     from repro.engine import execute
 
-    udg = random_udg(120, density=9.0, seed=seed)
+    udg = random_udg(n, density=9.0, seed=seed)
     kernel = solve_kmds_udg(udg, k=k, mode="direct",
                             selection_policy=policy, seed=seed)
     ref = execute(UDGProgram(udg, k, policy, seed), "direct", seed=seed,
@@ -121,16 +132,16 @@ def test_udg_kernel_matches_reference(policy, k, seed):
     _assert_same_result(kernel, ref)
 
 
-@pytest.mark.parametrize("seed", SEEDS)
+@pytest.mark.parametrize("seed,n", _sizes(90))
 @pytest.mark.parametrize("graph_kind", ("qudg", "noisy"))
 def test_udg_kernel_matches_reference_on_geometric_variants(
-        graph_kind, seed):
+        graph_kind, seed, n):
     from repro.core.udg import UDGProgram
     from repro.engine import execute
     from repro.engine.kernels import supports_kernel_election
     from repro.graphs.udg import NoisySensingUDG, QuasiUnitDiskGraph
 
-    base = random_udg(90, density=9.0, seed=seed)
+    base = random_udg(n, density=9.0, seed=seed)
     if graph_kind == "qudg":
         udg = QuasiUnitDiskGraph(base.points, alpha=0.75, seed=seed)
     else:
@@ -212,11 +223,11 @@ BATCH_SEEDS = (0, 5, 17)
 
 
 def _assert_batch_matches_sequential(program, seeds=BATCH_SEEDS):
-    from repro.engine import execute_batch
+    from repro.engine import execute, execute_batch
 
     assert program.supports_direct_batch()
     batch = execute_batch(program, seeds, "direct")
-    seq = execute_batch(program, seeds, "direct", force_sequential=True)
+    seq = [execute(program, "direct", seed=s) for s in seeds]
     assert len(batch) == len(seq) == len(seeds)
     for one, ref in zip(batch, seq):
         _assert_same_result(one, ref)
@@ -318,11 +329,12 @@ def test_batch_with_empty_seed_list():
 def test_elect_round_batch_accepts_precompressed_within():
     # The shared within-compression a round computes once and passes via
     # within_csr must be the same thing elect_round_batch computes for
-    # itself, and every batch row must equal the single-replica kernel.
+    # itself, and every batch row must equal the per-node election rule
+    # (the loop _part_one_direct runs).
     import numpy as np
 
-    from repro.engine.kernels import (compress_within, elect_round,
-                                      elect_round_batch, udg_distance_csr)
+    from repro.engine.kernels import (compress_within, elect_round_batch,
+                                      udg_distance_csr)
 
     udg = random_udg(50, density=8.0, seed=6)
     indptr, src, nbr, dist = udg_distance_csr(udg)
@@ -336,8 +348,18 @@ def test_elect_round_batch_accepts_precompressed_within():
                             within_csr=compress_within(indptr, nbr, within))
     assert np.array_equal(auto, pre)
     for r in range(R):
-        row = elect_round(src, nbr, within, active[r].copy(), ids[r])
-        assert np.array_equal(auto[r], row)
+        elected = set()
+        for v in np.nonzero(active[r])[0].tolist():
+            best, best_key = v, (int(ids[r, v]), v)
+            for e in range(indptr[v], indptr[v + 1]):
+                w = int(nbr[e])
+                if within[e] and active[r, w] \
+                        and (int(ids[r, w]), w) > best_key:
+                    best, best_key = w, (int(ids[r, w]), w)
+            elected.add(best)
+        row = np.zeros(udg.n, dtype=bool)
+        row[sorted(elected)] = True
+        assert np.array_equal(auto[r], active[r] & row)
 
 
 # ----------------------------------------------------------------------

@@ -15,11 +15,15 @@ The core guarantees pinned here:
 
 from __future__ import annotations
 
+import gc
+import weakref
+
 import networkx as nx
 import numpy as np
 import pytest
 
 from repro.cli import main as cli_main
+from repro.core.udg import solve_kmds_udg
 from repro.core.verify import (
     coverage_counts,
     coverage_deficit,
@@ -40,6 +44,7 @@ from repro.engine.artifacts import (
     GraphArtifacts,
     cache_stats,
     graph_artifacts,
+    stacked_graphs,
     touch,
 )
 from repro.errors import GraphError, ShardingError
@@ -237,6 +242,41 @@ class TestStalenessRegression:
         g.add_edge(2, 2)
         art = graph_artifacts(g)
         assert graph_artifacts(g) is art  # hit despite the odd degree sum
+
+
+class TestCacheLifetime:
+    """Cached artifacts and stacks must not keep their graphs alive: the
+    caches are weak-keyed by the graph, so a value referencing its own
+    key strongly would pin every graph ever solved."""
+
+    @staticmethod
+    def _dies(make_ref) -> bool:
+        ref = make_ref()
+        gc.collect()
+        return ref() is None
+
+    def test_solved_udg_is_freed(self):
+        def solve():
+            g = random_udg(300, density=9.0, seed=1)
+            solve_kmds_udg(g, k=2, seed=1)
+            return weakref.ref(g.nx)
+        assert self._dies(solve)
+
+    def test_plain_graph_is_freed(self):
+        def build():
+            g = nx.path_graph(5)
+            art = graph_artifacts(g)
+            assert art.graph is g  # readable while the graph lives
+            return weakref.ref(g)
+        assert self._dies(build)
+
+    def test_stack_anchor_is_freed(self):
+        def stack():
+            gs = [random_udg(60, density=8.0, seed=s) for s in (1, 2)]
+            st = stacked_graphs(gs)
+            assert st.graphs == gs and stacked_graphs(gs) is st
+            return weakref.ref(gs[0].nx)
+        assert self._dies(stack)
 
 
 class TestVectorizedVerify:
