@@ -10,7 +10,7 @@ no new dependency).  Everything here is strictly optional:
 
 * no compiler, a failed compile, or ``REPRO_NATIVE=0`` in the
   environment all degrade to the pure-NumPy implementations, which are
-  bit-for-bit equivalent (pinned by ``tests/test_vecrng.py``);
+  bit-for-bit equivalent (pinned by ``tests/test_simulation_vecrng.py``);
 * the compiled path is an *implementation detail behind the existing
   ``engine.kernels`` / ``simulation.vecrng`` surfaces* — callers never
   see it.  This is the stepping stone layout for the planned

@@ -445,9 +445,10 @@ def _cmd_kernels(args) -> int:
     The ops-facing face of :func:`repro.engine.dispatch.provider_status`
     (the same dict lands in ``repro serve --json`` and
     ``ExperimentReport.timing``): backend selection, native build
-    digest and thread count, numba availability, and per-entry provider
-    resolution.  A misconfigured ``REPRO_KERNEL_BACKEND`` exits 2 with
-    the registry's error instead of a traceback.
+    digest and thread count, numba availability, per-entry provider
+    resolution, and the vecrng stream engine.  A misconfigured
+    ``REPRO_KERNEL_BACKEND`` exits 2 with the registry's error instead
+    of a traceback.
     """
     from repro.engine.dispatch import provider_status
     from repro.errors import KernelBackendError
@@ -463,6 +464,9 @@ def _cmd_kernels(args) -> int:
     print(f"native: available={native['available']} "
           f"digest={native['digest'] or '-'} threads={native['threads']}")
     print(f"numba: available={status['numba']['available']}")
+    vecrng = status["vecrng"]
+    print(f"vecrng: engine={vecrng['engine']} "
+          f"self_test={vecrng['self_test']}")
     print()
     rows = []
     for entry, info in status["entry_points"].items():

@@ -204,7 +204,6 @@ class RoundingProgram(RoundProgram):
             member_vec = member_mat[r]
             sampled = int(member_vec.sum())
             is_member = dict(zip(lp.nodes, member_vec.tolist()))
-            pool = streams.replica_pool(r)
             requested: set = set()
             req_messages = 0
             for i in np.nonzero(required > counts[r])[0].tolist():
@@ -212,8 +211,9 @@ class RoundingProgram(RoundProgram):
                 need = int(required[i] - counts[r, i])
                 candidates = ([] if is_member[v] else [v]) \
                     + [w for w in nbrs_of[v] if not is_member[w]]
-                for w in _choose_requests(pool.generator(pool.lane[v]), v,
-                                          candidates, x, need, policy):
+                rng = streams.generator(streams.flat_lane(r, streams.lane[v]))
+                for w in _choose_requests(rng, v, candidates, x, need,
+                                          policy):
                     requested.add(w)
                     if w != v:
                         req_messages += 1

@@ -45,8 +45,9 @@ from repro.simulation.messages import Message
 from repro.simulation.node import NodeProcess
 from repro.simulation.rng import spawn_node_rngs
 from repro.engine import dispatch
-from repro.simulation.vecrng import (GridReplicaStreams,
+from repro.simulation.vecrng import (LaneStreams,
                                      materialize_bit_generator,
+                                     node_stream_pool,
                                      replica_node_streams,
                                      vector_streams_available)
 from repro.types import DominatingSet, NodeId, RunStats
@@ -263,7 +264,7 @@ def _part_one_kernel_batch(dist_csr, n: int, streams,
     indptr, src, nbr, dist = dist_csr
     total = indptr.size - 1
     G = len(details_grid)
-    R = len(streams.seeds)
+    R = streams.replicas
     schedule = theta_schedule(n)
     id_hi = min(_id_space(n), _MAX_SAMPLED_ID)
     for per_graph in details_grid:
@@ -506,7 +507,9 @@ class _GridAdoptionStreams:
     replica ``r``'s frozen lane states, so each row starts an
     independent *snapshot* stream, cached per row.  Each stream starts
     from the same frozen state the per-point run would materialize at,
-    so every k's adoption consumes a bit-identical stream.
+    so every k's adoption consumes a bit-identical stream.  A row spans
+    the whole stacked width, so a stacked column ``offsets[g] + v`` is
+    already its lane offset within the replica.
 
     One pooled ``PCG64`` serves every event: constructing a bit
     generator per lane costs ~8us while swapping its state dict costs
@@ -518,18 +521,8 @@ class _GridAdoptionStreams:
     valid until the next :meth:`generator` call.
     """
 
-    def __init__(self, streams: GridReplicaStreams, graph: int,
-                 replicas: int, *, width: int | None = None):
+    def __init__(self, streams: LaneStreams):
         self._streams = streams
-        self._replicas = replicas
-        # ``width``: row width served by this shim.  Defaults to one
-        # graph's n; the cross-graph fused adoption plane passes the
-        # whole stacked width instead, with ``graph=0`` — a stacked
-        # column is already ``offsets[g] + v``, exactly its pool-lane
-        # offset within the replica.
-        self._n = streams.counts[graph] if width is None else int(width)
-        # Grid-lane arithmetic hoisted out of the per-event path.
-        self._offset = int(streams.offsets[graph])
         self._total = streams.total
         self._states: Dict[int, dict] = {}
         self._bg = materialize_bit_generator()
@@ -537,16 +530,16 @@ class _GridAdoptionStreams:
         self._cur: int | None = None
 
     def flat_lane(self, row: int, lane: int) -> int:
-        return row * self._n + lane
+        return row * self._total + lane
 
     def generator(self, flat: int) -> np.random.Generator:
         if self._cur is not None:
             self._states[self._cur] = self._bg.state
         state = self._states.get(flat)
         if state is None:
-            row, v = divmod(flat, self._n)
+            row, v = divmod(flat, self._total)
             state = self._streams.snapshot_state(
-                (row % self._replicas) * self._total + self._offset + v)
+                self._streams.flat_lane(row % self._streams.replicas, v))
         self._bg.state = state
         self._cur = flat
         return self._gen
@@ -806,7 +799,7 @@ class UDGProgram(RoundProgram):
             groups.setdefault(udg.n, []).append(i)
         for n, idxs in groups.items():
             stack = stacked_graphs([udgs[i] for i in idxs])
-            streams = GridReplicaStreams([n] * len(idxs), seeds)
+            streams = LaneStreams([n] * len(idxs), seeds)
             details_grid: List[List[dict]] = \
                 [[{} for _ in range(R)] for _ in idxs]
             active = _part_one_kernel_batch(
@@ -841,8 +834,8 @@ class UDGProgram(RoundProgram):
                             "part1_leaders": int(p1_leaders[r, j]),
                         })
                     details_rows.append(per_block)
-            shim = _GridAdoptionStreams(streams, 0, R, width=stack.total)
-            _part_two_kernel_batch(stack, leader, ks_row, shim, policy,
+            _part_two_kernel_batch(stack, leader, ks_row,
+                                   _GridAdoptionStreams(streams), policy,
                                    details_rows, coverage=coverage,
                                    blocks=G)
             for j, i in enumerate(idxs):
@@ -912,8 +905,8 @@ def part_one_leaders(graph, *, seed: int | None = None) -> DominatingSet:
     if udg.n == 0:
         return DominatingSet(members=set(), details=details)
     if kernels.supports_kernel_election(udg):
-        streams = replica_node_streams(
-            range(udg.n), [seed],
+        streams = node_stream_pool(
+            range(udg.n), seed,
             bounded_ranges=(min(_id_space(udg.n), _MAX_SAMPLED_ID) - 1,))
         active = _part_one_kernel_batch(kernels.udg_distance_csr(udg),
                                         udg.n, streams, [[details]])
@@ -986,8 +979,8 @@ def solve_kmds_udg_batch(graph, seeds: Sequence, k: int = 1, *,
 
     On the ``direct`` backend the whole sweep executes as one
     replica-batched kernel pass (per-replica results bit-identical to
-    the sequential loop); other modes, exotic sensing subclasses, and
-    ``None`` seeds fall back to exactly that loop.  The E-series seed
+    the sequential loop, ``None`` seeds included); other modes and
+    exotic sensing subclasses run exactly that loop.  The E-series seed
     replication and ``repro experiment --replicas`` route through here.
     """
     if k < 1:
@@ -1016,7 +1009,6 @@ def solve_kmds_udg_batch(graph, seeds: Sequence, k: int = 1, *,
 def solve_kmds_udg_grid(graphs, seeds: Sequence, ks: Sequence[int] = (1,),
                         *, mode: str = "direct",
                         selection_policy: str = "random",
-                        force_per_point: bool = False,
                         timing: dict | None = None
                         ) -> List[List[List[DominatingSet]]]:
     """Run Algorithm 3 over the full ``graphs x ks x seeds`` grid,
@@ -1029,8 +1021,8 @@ def solve_kmds_udg_grid(graphs, seeds: Sequence, ks: Sequence[int] = (1,),
     one shared Part I, and the RNG pool widens to one lane per
     (replica, graph, node) — per-(graph, k, seed) results bit-identical
     to the per-point loop (pinned by ``tests/test_grid_equivalence.py``).
-    Message backends, exotic sensing subclasses, sizes below the vector
-    threshold, and ``force_per_point=True`` take the per-point loop.
+    Message backends, exotic sensing subclasses and sizes below the
+    vector threshold take the per-point loop.
     ``timing`` (optional dict) receives the dispatch breakdown — see
     :func:`repro.engine.execute_grid`.  The E-series grids (E6/E7)
     route through here.
@@ -1064,8 +1056,7 @@ def solve_kmds_udg_grid(graphs, seeds: Sequence, ks: Sequence[int] = (1,),
                              k_list[0] if k_list else 1,
                              selection_policy, first)
         sub = execute_grid(program, [udgs[i] for i in nonempty],
-                           seed_list, k_list, mode,
-                           force_per_point=force_per_point, timing=timing)
+                           seed_list, k_list, mode, timing=timing)
         for j, i in enumerate(nonempty):
             out[i] = sub[j]
             for per_seed in sub[j]:

@@ -186,9 +186,10 @@ def execute_batch(program: RoundProgram, seeds: Sequence[int],
     per-replica results (solution + :class:`~repro.types.RunStats`) come
     back bit-identical to the sequential loop ``[execute(program,
     seed=s) for s in seeds]`` (pinned by the batch-equivalence suite in
-    ``tests/test_mode_equivalence.py``).  Everything else — message
-    backends, ``reference_direct``, programs without a batched kernel,
-    or ``seed=None`` replicas — falls back to exactly that sequential
+    ``tests/test_mode_equivalence.py``).  ``seed=None`` replicas ride
+    along, each drawing its own OS entropy as a sequential run would.
+    Everything else — message backends, ``reference_direct``, injectors
+    or programs without a batched kernel — runs exactly that sequential
     loop.
     """
     backend = resolve_backend(mode)
@@ -196,7 +197,6 @@ def execute_batch(program: RoundProgram, seeds: Sequence[int],
     injectors = list(injectors)
     if (backend == "direct" and not reference_direct
             and not injectors and seed_list
-            and all(s is not None for s in seed_list)
             and program.supports_direct_batch()):
         instrs = [program.instrumentation() for _ in seed_list]
         return program.direct_batch(instrs, seed_list)
@@ -210,7 +210,6 @@ def execute_batch(program: RoundProgram, seeds: Sequence[int],
 def execute_grid(program: RoundProgram, graphs: Sequence,
                  seeds: Sequence[int], ks: Sequence[int],
                  mode: str = "direct", *,
-                 force_per_point: bool = False,
                  timing: dict | None = None) -> List[List[list]]:
     """Run the full ``graphs x ks x seeds`` grid; returns
     ``results[graph][k][seed]``.
@@ -225,8 +224,7 @@ def execute_grid(program: RoundProgram, graphs: Sequence,
     seeds)`` calls (pinned by ``tests/test_grid_equivalence.py``).
     Graphs the program declares ineligible (:meth:`grid_supported` —
     e.g. exotic sensing subclasses or sizes below the vector-draw
-    threshold), message backends, ``None`` seeds, and
-    ``force_per_point=True`` (the benchmark baseline) take exactly those
+    threshold), message backends and ``None`` seeds take exactly those
     per-point calls instead; a mixed list partitions cleanly.
 
     ``timing`` (optional dict, mutated): filled with ``path`` ("grid",
@@ -242,8 +240,7 @@ def execute_grid(program: RoundProgram, graphs: Sequence,
     results: List[List[list]] = [[None] * len(k_list) for _ in graph_list]
     stats = {"path": "per-point", "grid_graphs": 0, "per_point_graphs": 0,
              "grid_seconds": 0.0, "per_point_seconds": 0.0}
-    eligible = (backend == "direct" and not force_per_point
-                and bool(seed_list) and bool(k_list)
+    eligible = (backend == "direct" and bool(seed_list) and bool(k_list)
                 and all(s is not None for s in seed_list)
                 and program.supports_direct_grid())
     grid_idx = [i for i, g in enumerate(graph_list)

@@ -190,12 +190,15 @@ def provider_status() -> Dict[str, Any]:
     The dict behind ``repro kernels``, the ``kernels`` key of
     ``repro serve --json`` and ``ExperimentReport.timing``: backend
     selection, native build digest / thread count, numba availability,
-    and the provider each entry point resolves to for a large call.  A
-    forced-but-unavailable backend is reported per entry (provider
-    ``"unavailable"`` plus the error text) instead of raising, so the
-    status surface works exactly where the failure needs diagnosing.
+    the provider each entry point resolves to for a large call, and the
+    vecrng stream engine (``"vector"`` or the generator-backed
+    ``"fallback"``) with its self-test verdict.  A forced-but-unavailable
+    backend is reported per entry (provider ``"unavailable"`` plus the
+    error text) instead of raising, so the status surface works exactly
+    where the failure needs diagnosing.
     """
     from repro import _native
+    from repro.simulation.vecrng import vector_streams_available
 
     which = backend()
     status: Dict[str, Any] = {
@@ -224,4 +227,13 @@ def provider_status() -> Dict[str, Any]:
         if error is not None:
             info["error"] = error
         status["entry_points"][entry] = info
+    # The verdict itself, never the lazily filled cache: two snapshots
+    # taken before and after the first stream pool must agree.
+    try:
+        verified = vector_streams_available()
+        status["vecrng"] = {"engine": "vector" if verified else "fallback",
+                            "self_test": verified}
+    except KernelBackendError as exc:
+        status["vecrng"] = {"engine": "unavailable", "self_test": None,
+                            "error": str(exc)}
     return status

@@ -10,50 +10,43 @@ costs seconds, and every round of Algorithm 3's election pays one Python
 This module re-implements the exact numpy pipeline — SeedSequence
 entropy pooling, ``generate_state``, PCG64 seeding, the 128-bit LCG
 step, XSL-RR output, Lemire's bounded-rejection sampler, and the
-53-bit ``random()`` mapping — as elementwise numpy array operations over
-*all node streams at once*.  Per-node states live in four ``uint64``
-limb arrays; a draw for a set of lanes steps exactly those lanes, so
-every node's stream position stays equal to what the per-node reference
-loop would have left behind.  Outputs are bit-identical, not just
-statistically equivalent: the kernel-vs-reference equivalence suite
-(tests/test_mode_equivalence.py) and this module's own import-time
-self-test both compare against real ``Generator`` objects.
+53-bit ``random()`` mapping — as elementwise numpy array operations
+over *all streams at once*.  Stream states live in four ``uint64`` limb
+arrays; a draw for a set of lanes steps exactly those lanes, so every
+stream's position stays equal to what the per-node reference loop would
+have left behind.  Outputs are bit-identical, not just statistically
+equivalent: the kernel-vs-reference equivalence suite
+(tests/test_mode_equivalence.py) and this module's own self-test both
+compare against real ``Generator`` objects.
 
-Safety valve: :func:`node_stream_pool` runs a one-shot self-test of the
-whole vector pipeline against numpy's own generators the first time it
-is called.  If numpy's internals ever change (different SeedSequence
+One lane space.  :class:`LaneStreams` holds one stream per (replica,
+graph, node) triple on a flat, replica-major lane axis: node ``i`` of
+graph ``g`` in replica ``r`` is lane ``r * total + offsets[g] + i``.
+Spawn child ``i`` of ``SeedSequence(seeds[r])`` depends only on (seed
+entropy, ``i``), so that lane is bit-exact to node ``i`` of
+``spawn_node_rngs(nodes_g, seeds[r])`` and one vector draw advances a
+whole (replicas x graphs) sweep by one value per addressed lane.  A
+single run is the R = G = 1 case (:func:`node_stream_pool`, which keeps
+a ``lane`` / ``nodes`` map for arbitrary node ids), a seed sweep on one
+graph is G = 1 (:func:`replica_node_streams`), and the grid path
+stacks G graphs.  Nodes that outgrow vector draws — e.g. a leader
+running the adoption rule's ``choice``-based selection — call
+:meth:`LaneStreams.generator` to materialize a real ``Generator``
+*positioned at the lane's current stream state* (PCG64 accepts a raw
+``(state, inc)`` assignment); the lane is then owned by that generator
+and vector draws for it raise.
+
+Safety valve: the factories run a one-shot self-test of the whole
+vector pipeline against numpy's own generators the first time they are
+called.  If numpy's internals ever change (different SeedSequence
 mixing, a new bounded sampler), the self-test fails and every caller
-transparently gets a :class:`_FallbackPool` that wraps real per-node
-generators — slower, but still correct and still bit-identical to the
-reference.  Bounded draws additionally require Lemire's 64-bit path
-(range width > 2^32); smaller ranges use numpy's buffered 32-bit
-sampler, which keeps half-word state we do not model, so those callers
-are routed to the fallback as well via ``bounded_ranges``.
-
-Nodes that outgrow vector draws — e.g. a leader running the adoption
-rule's ``choice``-based selection — call :meth:`NodeStreamPool.generator`
-to materialize a real ``Generator`` *positioned at the lane's current
-stream state* (PCG64 accepts a raw ``(state, inc)`` assignment).  The
-lane is then owned by that generator; vector draws for it are a
-programming error and raise.
-
-Replica batching: :func:`replica_node_streams` generalizes the lane
-space from ``n`` nodes to ``R x n`` (replica, node) pairs — replica
-``r`` occupies flat lanes ``[r*n, (r+1)*n)``, and its streams are
-bit-exact equal to a single-run pool seeded with ``seeds[r]`` (the limb
-states are literally the concatenation of the per-seed pools').  One
-vector draw can therefore advance an entire Monte Carlo sweep at once;
-:meth:`ReplicaNodeStreams.replica_pool` exposes any one replica through
-the ordinary :class:`NodeStreamPool` interface for per-node code paths.
-
-Grid batching: :class:`GridReplicaStreams` widens the pool once more,
-from ``R x n`` to ``sum_g(R x n_g)`` over G stacked topologies.
-SeedSequence spawn child ``i`` depends only on (seed entropy, i), so
-graph ``g``'s limbs are a *prefix copy* of one master ``(R, n_max)``
-pool — replica ``r`` of graph ``g`` stays definitionally bit-exact to
-``node_stream_pool(range(n_g), seeds[r])``.
-:meth:`GridReplicaStreams.graph_view` exposes any one graph through the
-:class:`ReplicaNodeStreams` interface for per-graph code paths.
+transparently gets the same lane space over real per-lane generators —
+slower, but still correct and still bit-identical to the reference.
+Bounded draws additionally require Lemire's 64-bit path (range width
+> 2^32); smaller ranges use numpy's buffered 32-bit sampler, which
+keeps half-word state we do not model, so those callers are routed to
+the fallback as well via ``bounded_ranges``.
+:func:`vector_streams_available` reports which engine a caller gets.
 """
 
 from __future__ import annotations
@@ -62,11 +55,11 @@ from typing import Dict, Iterable, List, Optional, Sequence
 
 import numpy as np
 
+from repro.errors import KernelBackendError
 from repro.simulation.rng import _stable_order, spawn_node_rngs
 from repro.types import NodeId
 
-__all__ = ["GridReplicaStreams", "NodeStreamPool", "ReplicaNodeStreams",
-           "node_stream_pool", "replica_node_streams",
+__all__ = ["LaneStreams", "node_stream_pool", "replica_node_streams",
            "vector_streams_available"]
 
 # SeedSequence pool-mixing constants (O'Neill's seed_seq_fe as adopted
@@ -109,7 +102,7 @@ _MATERIALIZE_SS = np.random.SeedSequence(0)
 
 def materialize_bit_generator() -> np.random.PCG64:
     """A throwaway-seeded ``PCG64`` meant to have a lane state assigned
-    (see :meth:`GridReplicaStreams.snapshot_state`).  Avoids the no-arg
+    (see :meth:`LaneStreams.snapshot_state`).  Avoids the no-arg
     form's OS-entropy pull for state that is immediately overwritten.
     """
     return np.random.PCG64(_MATERIALIZE_SS)
@@ -226,25 +219,10 @@ def _generate_state_words(pools: np.ndarray) -> List[np.ndarray]:
 # 128-bit limb arithmetic (uint64 hi/lo pairs, wrapping)
 # ----------------------------------------------------------------------
 
-def _mul64_full(a: np.ndarray, b: np.ndarray):
-    """Full 64x64 -> 128 product via 32-bit schoolbook limbs."""
-    a0 = a & _U32_MASK
-    a1 = a >> _SHIFT32
-    b0 = b & _U32_MASK
-    b1 = b >> _SHIFT32
-    p00 = a0 * b0
-    p01 = a0 * b1
-    p10 = a1 * b0
-    mid = (p00 >> _SHIFT32) + (p01 & _U32_MASK) + (p10 & _U32_MASK)
-    lo = (p00 & _U32_MASK) | ((mid & _U32_MASK) << _SHIFT32)
-    hi = a1 * b1 + (p01 >> _SHIFT32) + (p10 >> _SHIFT32) + (mid >> _SHIFT32)
-    return hi, lo
-
-
 def _umulhi(a: np.ndarray, b) -> np.ndarray:
-    """Upper 64 bits of a 64x64 product with a *scalar* ``b`` (the
-    constant-multiplier half of :func:`_mul64_full`: the low half of
-    the product, when needed, is just the wrapping ``a * b``)."""
+    """Upper 64 bits of the 64x64 -> 128 product with a *scalar* ``b``,
+    via 32-bit schoolbook limbs (the low half, when needed, is just the
+    wrapping ``a * b``)."""
     b = np.uint64(b)
     b0 = b & _U32_MASK
     b1 = b >> _SHIFT32
@@ -349,65 +327,96 @@ def _seed_limbs_multi(seeds: Sequence, n: int):
     return ih, il, sh, sl
 
 
-def _seed_limbs(seed, n: int):
-    """Single-seed :func:`_seed_limbs_multi` (one pool of ``n`` lanes)."""
-    return _seed_limbs_multi([seed], n)
-
-
 # ----------------------------------------------------------------------
-# The pools
+# The lane space: lane = (replica, graph, node)
 # ----------------------------------------------------------------------
 
-class NodeStreamPool:
-    """Per-node RNG streams addressable by *lane* (stable-order index).
+def _refuse_owned(owned: List[int]) -> None:
+    if owned:
+        raise RuntimeError(
+            f"lanes {owned[:5]} are owned by materialized generators; "
+            "vector draws would desynchronize them")
 
-    ``lane`` maps node id -> lane; for the common ``range(n)`` node set
-    the mapping is the identity and callers may index by node directly.
-    Obtain instances via :func:`node_stream_pool`, which picks the
-    vectorized implementation when it can guarantee bit-exactness and
-    the generator-wrapping fallback otherwise.
+
+def _checked_out(out: np.ndarray, size: int) -> np.ndarray:
+    if (out.dtype != np.int64 or out.size != size
+            or not out.flags.c_contiguous):
+        raise ValueError(
+            "out must be a C-contiguous int64 buffer of mask.size")
+    return out
+
+
+class LaneStreams:
+    """Per-(replica, graph, node) RNG streams on one flat lane axis.
+
+    ``counts[g]`` is graph ``g``'s node count and replica ``r`` is seeded
+    with ``seeds[r]``.  Lanes are replica-major over the concatenated
+    node index space: node ``i`` of graph ``g`` in replica ``r`` is flat
+    lane ``r * total + offsets[g] + i`` (:meth:`flat_lane`), and its
+    stream is spawn child ``i`` of ``SeedSequence(seeds[r])``.  Streams are mutually
+    independent, so a draw over lanes of any replicas and graphs
+    advances each addressed stream by exactly one value — batch
+    composition cannot perturb any single stream's sequence.
+
+    With one graph, ``nodes`` lists its node ids in lane order and
+    ``lane`` maps id -> lane (``range(counts[0])`` unless given); a
+    stack of several graphs has no id map (``None``).
+
+    Obtain instances through :func:`node_stream_pool` or
+    :func:`replica_node_streams`, which fall back to generator-backed
+    lanes when the vector engine cannot be exact; construct directly
+    only after :func:`vector_streams_available` has approved every
+    bounded range the caller will draw (the grid path).
     """
 
-    lane: Dict[NodeId, int]
-    nodes: List[NodeId]
+    def __init__(self, counts: Sequence[int], seeds: Sequence,
+                 nodes: Sequence[NodeId] | None = None):
+        self._layout(counts, seeds, nodes)
+        R, n_max = len(self.seeds), max(self.counts, default=0)
+        limbs = _seed_limbs_multi(self.seeds, n_max)
+        if len(self.counts) != 1:
+            # Spawn child i depends only on (seed entropy, i): every
+            # graph's lanes are a prefix copy of the (R, n_max) master.
+            stacked = []
+            for src in limbs:
+                src2 = src.reshape(R, n_max)
+                dst = np.empty((R, self.total), dtype=np.uint64)
+                for g, n_g in enumerate(self.counts):
+                    off = self.offsets[g]
+                    dst[:, off:off + n_g] = src2[:, :n_g]
+                stacked.append(dst.reshape(-1))
+            limbs = stacked
+        self._ih, self._il, self._sh, self._sl = limbs
+        self._materialized: Dict[int, np.random.Generator] = {}
 
-    def random(self, lanes: np.ndarray) -> np.ndarray:
-        """One ``Generator.random()`` draw per lane, in lane order."""
-        raise NotImplementedError
+    def _layout(self, counts, seeds, nodes) -> None:
+        self.counts = [int(c) for c in counts]
+        if any(c < 0 for c in self.counts):
+            raise ValueError("node counts must be non-negative")
+        self.seeds = list(seeds)
+        self.offsets = [0]
+        for c in self.counts:
+            self.offsets.append(self.offsets[-1] + c)
+        self.total = self.offsets[-1]
+        self.nodes: List[NodeId] | None = None
+        self.lane: Dict[NodeId, int] | None = None
+        if len(self.counts) == 1:
+            self.nodes = list(range(self.total) if nodes is None else nodes)
+            self.lane = {v: i for i, v in enumerate(self.nodes)}
 
-    def draw_ints(self, lanes: np.ndarray, high: int,
-                  need: np.ndarray | None = None) -> np.ndarray:
-        """One ``Generator.integers(1, high + 1)`` draw per lane.
+    @property
+    def replicas(self) -> int:
+        return len(self.seeds)
 
-        ``need`` (optional boolean mask over ``lanes``): the streams
-        advance identically either way, but values at ``~need`` are
-        unspecified — implementations may skip materializing them.
-        """
-        raise NotImplementedError
-
-    def generator(self, lane: int) -> np.random.Generator:
-        """A real ``Generator`` owning this lane's stream from here on."""
-        raise NotImplementedError
-
-
-class _LaneEngine:
-    """Shared vector machinery over uint64 limb arrays, one entry per
-    lane.  Subclasses decide what a lane *means* (a node, or a
-    (replica, node) pair) and how the limb arrays are assembled."""
-
-    _ih: np.ndarray
-    _il: np.ndarray
-    _sh: np.ndarray
-    _sl: np.ndarray
-    _materialized: Dict[int, np.random.Generator]
+    def flat_lane(self, replica: int, lane: int) -> int:
+        """The flat lane of ``replica``'s node lane ``lane`` (for a
+        stack, ``offsets[g] + i`` addresses node ``i`` of graph ``g``)."""
+        return replica * self.total + lane
 
     def _next64(self, lanes: np.ndarray) -> np.ndarray:
         if self._materialized:
-            owned = [i for i in lanes.tolist() if i in self._materialized]
-            if owned:
-                raise RuntimeError(
-                    f"lanes {owned[:5]} are owned by materialized "
-                    "generators; vector draws would desynchronize them")
+            _refuse_owned([i for i in lanes.tolist()
+                           if i in self._materialized])
         with np.errstate(over="ignore"):
             sh, sl = _step(self._sh[lanes], self._sl[lanes],
                            self._ih[lanes], self._il[lanes])
@@ -416,6 +425,7 @@ class _LaneEngine:
             return _output(sh, sl)
 
     def random(self, lanes: np.ndarray) -> np.ndarray:
+        """One ``Generator.random()`` draw per flat lane, in order."""
         lanes = np.asarray(lanes)
         if lanes.size <= _CHUNK:
             return (self._next64(lanes) >> np.uint64(11)) * (2.0 ** -53)
@@ -426,44 +436,25 @@ class _LaneEngine:
                 * (2.0 ** -53)
         return out
 
-    def draw_ints(self, lanes: np.ndarray, high: int,
-                  need: np.ndarray | None = None) -> np.ndarray:
-        # Generator.integers(1, high + 1): off = 1, inclusive range
-        # width rng = high - 1.  node_stream_pool guarantees Lemire's
-        # 64-bit path (rng > 2^32 - 1), whose acceptance threshold is
-        # ((2^64 - rng_excl) % rng_excl) on the low product half;
-        # each rejected lane consumes exactly one more raw u64.
-        #
-        # ``need`` (optional boolean mask over ``lanes``): every lane's
-        # stream advances exactly as without it — the accept test only
-        # needs the *wrapping* low product half — but the expensive
-        # upper-half product that materializes the sampled value is
-        # computed for needed lanes only; entries at ``~need`` are
-        # unspecified.  Callers use this when a draw must happen for
-        # stream-position fidelity but its value is provably never read
-        # (e.g. an election identifier nobody is in range to compare).
-        rng_excl = np.uint64(high)
-        threshold = np.uint64(((1 << 64) - high) % high)
-        lanes = np.asarray(lanes)
-        out = np.empty(lanes.size, dtype=np.int64)
-        for a in range(0, lanes.size, _CHUNK):
-            b = min(a + _CHUNK, lanes.size)
-            self._draw_chunk(lanes[a:b], rng_excl, threshold, out[a:b],
-                             None if need is None else need[a:b])
-        return out
-
     def draw_ints_masked(self, mask: np.ndarray, high: int,
                          need: np.ndarray | None = None,
                          out: np.ndarray | None = None) -> np.ndarray:
-        """Bounded draws for every lane where ``mask`` holds.
+        """One ``Generator.integers(1, high + 1)`` draw for every flat
+        lane where ``mask`` holds, returned as a ``mask.size`` array.
 
-        Equivalent to ``draw_ints(np.nonzero(mask)[0], high)`` scattered
-        into a ``mask.size`` output, but dense chunks advance their
-        states with pure *slice* arithmetic over the lane axis — no
-        index gather/scatter — and the handful of idle lanes get their
-        pre-step states restored.  Lanes outside ``mask`` end up
-        untouched either way; output entries are defined only where
-        ``mask`` (and ``need``, when given) hold.
+        Dense chunks advance their states with pure *slice* arithmetic
+        over the lane axis — no index gather/scatter — and the handful
+        of idle lanes get their pre-step states restored.  Lanes outside
+        ``mask`` are untouched.
+
+        ``need`` (optional boolean mask): every masked lane's stream
+        advances exactly as without it — the accept test only needs the
+        *wrapping* low product half — but the expensive upper-half
+        product that materializes the sampled value is computed for
+        needed lanes only.  Callers use this when a draw must happen
+        for stream-position fidelity but its value is provably never
+        read (e.g. an election identifier nobody is in range to
+        compare).
 
         ``out`` (optional, C-contiguous int64 of ``mask.size``): write
         the drawn values into this buffer in place and return it.
@@ -472,28 +463,20 @@ class _LaneEngine:
         *inactive-masked* value plane consumers can read without
         re-gathering the mask (``engine.kernels.elect_round_batch``'s
         ``ids_masked`` fast path).  Entries outside both keep their
-        previous contents; entries at ``mask & ~need`` are unspecified
-        (a backend may overwrite them with unmaterialized values).
-        Callers that persist a value plane across rounds (e.g.
-        election identifiers) pass the plane itself and skip an
-        extract/scatter pair per round.
+        previous contents; entries at ``mask & ~need`` are unspecified.
         """
+        # Generator.integers(1, high + 1): off = 1, inclusive range
+        # width high - 1.  The factories guarantee Lemire's 64-bit path
+        # (width > 2^32 - 1), whose acceptance threshold is
+        # ((2^64 - high) % high) on the low product half; each rejected
+        # lane consumes exactly one more raw u64.
         mask = np.ascontiguousarray(mask, dtype=bool)
-        if out is None:
-            out = np.empty(mask.size, dtype=np.int64)
-        elif (out.dtype != np.int64 or out.size != mask.size
-                or not out.flags.c_contiguous):
-            raise ValueError(
-                "out must be a C-contiguous int64 buffer of mask.size")
+        out = np.empty(mask.size, dtype=np.int64) if out is None \
+            else _checked_out(out, mask.size)
         draw_masked = _dispatch().kernel("draw_masked", mask.size)
         if draw_masked is not None:
             if self._materialized:
-                owned = [i for i in self._materialized if mask[i]]
-                if owned:
-                    raise RuntimeError(
-                        f"lanes {owned[:5]} are owned by materialized "
-                        "generators; vector draws would desynchronize "
-                        "them")
+                _refuse_owned([i for i in self._materialized if mask[i]])
             draw_masked(
                 self._sh, self._sl, self._ih, self._il,
                 mask.view(np.uint8),
@@ -517,13 +500,8 @@ class _LaneEngine:
                 if cnt == 0:
                     continue
                 if self._materialized:
-                    owned = [i for i in self._materialized
-                             if a <= i < b and m[i - a]]
-                    if owned:
-                        raise RuntimeError(
-                            f"lanes {owned[:5]} are owned by materialized "
-                            "generators; vector draws would desynchronize "
-                            "them")
+                    _refuse_owned([i for i in self._materialized
+                                   if a <= i < b and m[i - a]])
                 full = cnt == b - a
                 if not full and cnt * 5 < 2 * (b - a):
                     # Sparse chunk: the gathered path touches less data.
@@ -572,8 +550,9 @@ class _LaneEngine:
 
     def _draw_chunk(self, pending: np.ndarray, rng_excl, threshold,
                     out: np.ndarray, need: np.ndarray | None) -> None:
-        """Lemire-rejection bounded draws for one lane block, writing
-        the values (``+1`` offset applied) into the ``out`` view."""
+        """Lemire-rejection bounded draws for one gathered lane block,
+        writing the values (``+1`` offset applied) into the ``out``
+        view."""
         one = np.uint64(1)
         pos = None  # None = all of `out` still pending (the common case)
         while pending.size:
@@ -606,17 +585,21 @@ class _LaneEngine:
                 out[acc_pos] = vals
 
     def generator(self, lane: int) -> np.random.Generator:
+        """A real ``Generator`` owning this flat lane's stream from here
+        on (memoized; vector draws on the lane raise afterwards)."""
         gen = self._materialized.get(lane)
         if gen is None:
-            gen = self._lane_generator(lane)
-            self._materialized[lane] = gen
+            bg = materialize_bit_generator()
+            bg.state = self.snapshot_state(lane)
+            gen = self._materialized[lane] = np.random.Generator(bg)
         return gen
 
-    def _lane_state(self, lane: int) -> dict:
-        """The lane's current stream state as a PCG64 state dict —
-        assignable to any ``PCG64.state`` (the cheap half of generator
-        materialization, for callers that pool one bit generator and
-        swap states per event instead of constructing per lane)."""
+    def snapshot_state(self, lane: int) -> dict:
+        """The lane's current stream state as a PCG64 state dict,
+        assignable to any ``PCG64.state``.  No ownership is recorded:
+        the grid path's k-axis fusion runs several adoption phases off
+        one frozen post-election state by cloning it per k value, and
+        must not vector-draw the lane afterwards."""
         return {
             "bit_generator": "PCG64",
             "state": {
@@ -627,365 +610,50 @@ class _LaneEngine:
             "uinteger": 0,
         }
 
-    def _lane_generator(self, lane: int) -> np.random.Generator:
-        """A fresh ``Generator`` at this lane's current stream state
-        (no ownership recorded — callers manage divergence)."""
-        # PCG64(<cached SeedSequence>), not PCG64(): the no-arg form
-        # pulls OS entropy (~80us) and even PCG64(0) rebuilds a
-        # SeedSequence (~4us) — all discarded by the state overwrite.
-        bg = np.random.PCG64(_MATERIALIZE_SS)
-        bg.state = self._lane_state(lane)
-        return np.random.Generator(bg)
 
+class _FallbackStreams(LaneStreams):
+    """The same lane space over one real ``Generator`` per lane — the
+    safety net when the self-test fails, and the home of draws needing
+    numpy's buffered 32-bit sampler."""
 
-class _VectorPool(_LaneEngine, NodeStreamPool):
-    def __init__(self, node_list: Sequence[NodeId], seed):
-        self.nodes = list(node_list)
-        self.lane = {v: i for i, v in enumerate(node_list)}
-        self._ih, self._il, self._sh, self._sl = \
-            _seed_limbs(seed, len(node_list))
-        self._materialized = {}
-
-
-class _FallbackPool(NodeStreamPool):
-    """Same interface over real per-node generators (the safety net)."""
-
-    def __init__(self, node_list: Sequence[NodeId], seed):
-        self.nodes = list(node_list)
-        self.lane = {v: i for i, v in enumerate(node_list)}
-        self._rngs = spawn_node_rngs(node_list, seed)
+    def __init__(self, counts: Sequence[int], seeds: Sequence,
+                 nodes: Sequence[NodeId] | None = None):
+        self._layout(counts, seeds, nodes)
+        n_max = max(self.counts, default=0)
+        self._gens: List[np.random.Generator] = []
+        for seed in self.seeds:
+            children = np.random.SeedSequence(seed).spawn(n_max)
+            for n_g in self.counts:
+                self._gens.extend(np.random.default_rng(child)
+                                  for child in children[:n_g])
 
     def random(self, lanes: np.ndarray) -> np.ndarray:
-        return np.fromiter(
-            (self._rngs[self.nodes[i]].random() for i in lanes.tolist()),
-            dtype=np.float64, count=len(lanes))
-
-    def draw_ints(self, lanes: np.ndarray, high: int,
-                  need: np.ndarray | None = None) -> np.ndarray:
-        # `need` is advisory; drawing every value is within contract.
-        return np.fromiter(
-            (int(self._rngs[self.nodes[i]].integers(1, high + 1))
-             for i in lanes.tolist()),
-            dtype=np.int64, count=len(lanes))
-
-    def generator(self, lane: int) -> np.random.Generator:
-        return self._rngs[self.nodes[lane]]
-
-
-# ----------------------------------------------------------------------
-# Replica-batched streams: lane = (replica, node)
-# ----------------------------------------------------------------------
-
-class ReplicaNodeStreams:
-    """R x n per-(replica, node) RNG streams addressable by *flat lane*.
-
-    Replica ``r`` (seeded with ``seeds[r]``) occupies flat lanes
-    ``[r*n, (r+1)*n)`` in node stable order; its streams are bit-exact
-    equal to ``node_stream_pool(nodes, seeds[r])``.  One vector draw over
-    flat lanes from several replicas advances every addressed stream by
-    exactly one value — streams are mutually independent, so batch
-    composition cannot perturb any single stream's sequence.
-
-    Obtain instances via :func:`replica_node_streams`.
-    """
-
-    lane: Dict[NodeId, int]
-    nodes: List[NodeId]
-    seeds: List
-
-    @property
-    def n(self) -> int:
-        """Nodes per replica (the flat lane space has ``replicas * n``)."""
-        return len(self.nodes)
-
-    @property
-    def replicas(self) -> int:
-        return len(self.seeds)
-
-    def flat_lane(self, replica: int, lane: int) -> int:
-        """The flat lane of node-lane ``lane`` in ``replica``."""
-        return replica * len(self.nodes) + lane
-
-    def random(self, flat_lanes: np.ndarray) -> np.ndarray:
-        """One ``Generator.random()`` draw per flat lane, in order."""
-        raise NotImplementedError
-
-    def draw_ints(self, flat_lanes: np.ndarray, high: int,
-                  need: np.ndarray | None = None) -> np.ndarray:
-        """One ``Generator.integers(1, high + 1)`` draw per flat lane
-        (``need``: as in :meth:`NodeStreamPool.draw_ints`)."""
-        raise NotImplementedError
+        lanes = np.asarray(lanes)
+        return np.fromiter((self._gens[i].random() for i in lanes.tolist()),
+                           dtype=np.float64, count=lanes.size)
 
     def draw_ints_masked(self, mask: np.ndarray, high: int,
                          need: np.ndarray | None = None,
                          out: np.ndarray | None = None) -> np.ndarray:
-        """One bounded draw per flat lane where ``mask`` holds, returned
-        as a ``mask.size`` array (entries defined where ``mask`` and
-        ``need`` hold).  ``out``: optional int64 buffer written in place
-        — entries at ``need & ~mask`` are set to 0 (an impossible draw,
-        so the buffer doubles as an inactive-masked value plane),
-        entries outside both keep their previous contents, entries at
-        ``mask & ~need`` are unspecified.  The vector engine overrides
-        this with a slice-arithmetic implementation; the generic form
-        routes through :meth:`draw_ints`."""
+        # `need` is advisory; drawing every value is within contract.
         mask = np.asarray(mask, dtype=bool)
-        flat = np.nonzero(mask)[0]
-        if out is None:
-            out = np.zeros(mask.size, dtype=np.int64)
-        elif (out.dtype != np.int64 or out.size != mask.size
-                or not out.flags.c_contiguous):
-            raise ValueError(
-                "out must be a C-contiguous int64 buffer of mask.size")
+        out = np.zeros(mask.size, dtype=np.int64) if out is None \
+            else _checked_out(out, mask.size)
         if need is not None:
             out[np.asarray(need, dtype=bool) & ~mask] = 0
-        out[flat] = self.draw_ints(
-            flat, high, need=None if need is None else need[flat])
+        for i in np.flatnonzero(mask).tolist():
+            out[i] = self._gens[i].integers(1, high + 1)
         return out
-
-    def generator(self, flat_lane: int) -> np.random.Generator:
-        """A real ``Generator`` owning this flat lane's stream."""
-        raise NotImplementedError
-
-    def replica_pool(self, replica: int) -> NodeStreamPool:
-        """Replica ``replica`` as an ordinary :class:`NodeStreamPool`
-        (lane-offset view; draws advance the shared stream states)."""
-        return _ReplicaView(self, replica)
-
-
-class _ReplicaView(NodeStreamPool):
-    """One replica of a :class:`ReplicaNodeStreams`, adapted to the
-    single-run pool interface by offsetting lanes."""
-
-    def __init__(self, streams: ReplicaNodeStreams, replica: int):
-        self._streams = streams
-        self._offset = replica * len(streams.nodes)
-        self.nodes = streams.nodes
-        self.lane = streams.lane
-
-    def random(self, lanes: np.ndarray) -> np.ndarray:
-        return self._streams.random(
-            np.asarray(lanes, dtype=np.int64) + self._offset)
-
-    def draw_ints(self, lanes: np.ndarray, high: int,
-                  need: np.ndarray | None = None) -> np.ndarray:
-        return self._streams.draw_ints(
-            np.asarray(lanes, dtype=np.int64) + self._offset, high,
-            need=need)
 
     def generator(self, lane: int) -> np.random.Generator:
-        return self._streams.generator(self._offset + lane)
+        return self._gens[lane]
 
-
-class _VectorReplicaStreams(_LaneEngine, ReplicaNodeStreams):
-    """Vectorized replica streams: the limb arrays are the per-seed
-    single-pool limbs concatenated along the lane axis, so replica
-    ``r``'s slice is *definitionally* bit-exact to ``_VectorPool(nodes,
-    seeds[r])``."""
-
-    def __init__(self, node_list: Sequence[NodeId], seeds: Sequence):
-        n = len(node_list)
-        self.nodes = list(node_list)
-        self.lane = {v: i for i, v in enumerate(node_list)}
-        self.seeds = list(seeds)
-        self._ih, self._il, self._sh, self._sl = \
-            _seed_limbs_multi(self.seeds, n)
-        self._materialized = {}
-
-
-class _FallbackReplicaStreams(ReplicaNodeStreams):
-    """Replica streams over per-replica fallback pools (the safety net;
-    also the home of draws needing numpy's buffered 32-bit sampler)."""
-
-    def __init__(self, node_list: Sequence[NodeId], seeds: Sequence):
-        self.nodes = list(node_list)
-        self.lane = {v: i for i, v in enumerate(node_list)}
-        self.seeds = list(seeds)
-        self._pools = [_FallbackPool(node_list, s) for s in self.seeds]
-
-    def _split(self, flat_lane: int):
-        n = len(self.nodes)
-        return flat_lane // n, flat_lane % n
-
-    def random(self, flat_lanes: np.ndarray) -> np.ndarray:
-        flat = np.asarray(flat_lanes, dtype=np.int64)
-        out = np.empty(flat.size, dtype=np.float64)
-        for j, i in enumerate(flat.tolist()):
-            r, lane = self._split(i)
-            out[j] = self._pools[r].random(np.asarray([lane]))[0]
-        return out
-
-    def draw_ints(self, flat_lanes: np.ndarray, high: int,
-                  need: np.ndarray | None = None) -> np.ndarray:
-        # `need` is advisory; drawing every value is within contract.
-        flat = np.asarray(flat_lanes, dtype=np.int64)
-        out = np.empty(flat.size, dtype=np.int64)
-        for j, i in enumerate(flat.tolist()):
-            r, lane = self._split(i)
-            out[j] = self._pools[r].draw_ints(np.asarray([lane]), high)[0]
-        return out
-
-    def generator(self, flat_lane: int) -> np.random.Generator:
-        r, lane = self._split(flat_lane)
-        return self._pools[r].generator(lane)
-
-    def replica_pool(self, replica: int) -> NodeStreamPool:
-        return self._pools[replica]
+    def snapshot_state(self, lane: int) -> dict:
+        return self._gens[lane].bit_generator.state
 
 
 # ----------------------------------------------------------------------
-# Grid-batched streams: lane = (replica, graph, node)
-# ----------------------------------------------------------------------
-
-class GridReplicaStreams(_LaneEngine):
-    """``sum_g(R x n_g)`` per-(replica, graph, node) RNG streams.
-
-    The lane space is replica-major over the *concatenated* node index
-    space of G stacked graphs: graph ``g``'s node ``i`` in replica ``r``
-    occupies flat lane ``r * total + offsets[g] + i``, where ``total =
-    sum_g n_g``.  SeedSequence spawn child ``i`` depends only on (seed
-    entropy, ``i``), so the limbs of every graph are prefix slices of
-    one master ``(R, n_max)`` pool — replica ``r`` of graph ``g`` is
-    therefore *definitionally* bit-exact to
-    ``node_stream_pool(range(n_g), seeds[r])``, and one vector draw over
-    the flat plane advances an entire (graphs x replicas) grid at once.
-
-    Construct directly only after checking
-    :func:`vector_streams_available` for every bounded range the caller
-    will draw; grid callers fall back to per-graph pools otherwise.
-    """
-
-    def __init__(self, node_counts: Sequence[int], seeds: Sequence):
-        self.counts = [int(c) for c in node_counts]
-        if any(c < 0 for c in self.counts):
-            raise ValueError("node counts must be non-negative")
-        self.seeds = list(seeds)
-        self.offsets = np.zeros(len(self.counts) + 1, dtype=np.int64)
-        np.cumsum(self.counts, out=self.offsets[1:])
-        self.total = int(self.offsets[-1])
-        R = len(self.seeds)
-        n_max = max(self.counts, default=0)
-        master = _seed_limbs_multi(self.seeds, n_max)
-        limbs = []
-        for src in master:
-            src2 = src.reshape(R, n_max) if R else src.reshape(0, 0)
-            dst = np.empty(R * self.total, dtype=np.uint64)
-            dst2 = dst.reshape(R, self.total) if R else dst.reshape(0, 0)
-            for g, n_g in enumerate(self.counts):
-                off = int(self.offsets[g])
-                dst2[:, off:off + n_g] = src2[:, :n_g]
-            limbs.append(dst)
-        self._ih, self._il, self._sh, self._sl = limbs
-        self._materialized = {}
-
-    @property
-    def replicas(self) -> int:
-        return len(self.seeds)
-
-    def graph_slice(self, graph: int):
-        """``(offset, n)`` of graph ``graph`` in the node index space."""
-        return int(self.offsets[graph]), self.counts[graph]
-
-    def flat_lane(self, replica: int, graph: int, node: int) -> int:
-        """The flat lane of node ``node`` of ``graph`` in ``replica``."""
-        return replica * self.total + int(self.offsets[graph]) + node
-
-    def snapshot_generator(self, flat_lane: int) -> np.random.Generator:
-        """A fresh ``Generator`` positioned at the lane's *current*
-        stream state.  Unlike :meth:`generator`, no ownership is
-        recorded and repeated calls return independent clones that
-        diverge from the shared limbs — the k-axis fusion uses this to
-        run several adoption phases off one frozen post-election state.
-        The caller must not vector-draw the lane afterwards."""
-        return self._lane_generator(flat_lane)
-
-    def snapshot_state(self, flat_lane: int) -> dict:
-        """:meth:`snapshot_generator`'s state dict alone — for callers
-        that keep one pooled ``PCG64`` and swap lane states per event
-        (a full state round-trip, so streams continue bit-identically
-        to a dedicated per-lane generator)."""
-        return self._lane_state(flat_lane)
-
-    def graph_view(self, graph: int) -> ReplicaNodeStreams:
-        """Graph ``graph`` as an ordinary :class:`ReplicaNodeStreams`
-        (draws advance the shared grid stream states)."""
-        return _GridGraphView(self, graph)
-
-
-class _GridGraphView(ReplicaNodeStreams):
-    """One graph of a :class:`GridReplicaStreams`, adapted to the
-    replica-streams interface by remapping local flat lanes
-    ``r * n_g + i`` to grid lanes ``r * total + offset + i``.
-
-    The per-graph limb slices are *strided* views of the grid plane, so
-    draws delegate to the parent engine (whose contiguous arrays keep
-    the native kernels usable) rather than slicing limbs here — handing
-    a strided view to ctypes would silently read the wrong lanes.
-    """
-
-    def __init__(self, streams: GridReplicaStreams, graph: int):
-        self._streams = streams
-        self._offset, n = streams.graph_slice(graph)
-        self.nodes = list(range(n))
-        self.lane = {v: v for v in self.nodes}
-        self.seeds = streams.seeds
-
-    def _grid_lanes(self, flat_lanes) -> np.ndarray:
-        flat = np.asarray(flat_lanes, dtype=np.int64)
-        n = len(self.nodes)
-        r = flat // n
-        return r * self._streams.total + self._offset + (flat - r * n)
-
-    def random(self, flat_lanes: np.ndarray) -> np.ndarray:
-        return self._streams.random(self._grid_lanes(flat_lanes))
-
-    def draw_ints(self, flat_lanes: np.ndarray, high: int,
-                  need: np.ndarray | None = None) -> np.ndarray:
-        return self._streams.draw_ints(self._grid_lanes(flat_lanes), high,
-                                       need=need)
-
-    def draw_ints_masked(self, mask: np.ndarray, high: int,
-                         need: np.ndarray | None = None,
-                         out: np.ndarray | None = None) -> np.ndarray:
-        """Masked draw over this graph's ``R x n_g`` plane, expanded to
-        a full-grid mask so the parent's contiguous (native-capable)
-        masked path does the work, then gathered back."""
-        mask = np.asarray(mask, dtype=bool)
-        n = len(self.nodes)
-        R = len(self.seeds)
-        if mask.size != R * n:
-            raise ValueError("mask must cover the graph's R x n lanes")
-        if out is None:
-            out = np.zeros(mask.size, dtype=np.int64)
-        elif (out.dtype != np.int64 or out.size != mask.size
-                or not out.flags.c_contiguous):
-            raise ValueError(
-                "out must be a C-contiguous int64 buffer of mask.size")
-        total = self._streams.total
-        grid_mask = np.zeros(R * total, dtype=bool)
-        gm2 = grid_mask.reshape(R, total)
-        gm2[:, self._offset:self._offset + n] = mask.reshape(R, n)
-        grid_need = None
-        if need is None:
-            sel = mask
-        else:
-            need = np.asarray(need, dtype=bool)
-            grid_need = np.zeros(R * total, dtype=bool)
-            gn2 = grid_need.reshape(R, total)
-            gn2[:, self._offset:self._offset + n] = need.reshape(R, n)
-            sel = mask & need
-        grid_out = self._streams.draw_ints_masked(grid_mask, high,
-                                                  need=grid_need)
-        local = grid_out.reshape(R, total)[
-            :, self._offset:self._offset + n].reshape(-1)
-        out[sel] = local[sel]
-        return out
-
-    def generator(self, flat_lane: int) -> np.random.Generator:
-        return self._streams.generator(int(self._grid_lanes(flat_lane)))
-
-
-# ----------------------------------------------------------------------
-# Factory + self-test
+# Factories + self-test
 # ----------------------------------------------------------------------
 
 _vector_verified: Optional[bool] = None
@@ -995,26 +663,30 @@ def _self_test() -> bool:
     """Compare the whole vector pipeline against numpy's generators."""
     try:
         for seed in (12345, 0):
-            pool = _VectorPool(list(range(6)), seed)
+            streams = LaneStreams([6], [seed])
             ref = spawn_node_rngs(range(6), seed)
-            lanes = np.arange(6)
-            if [float(x) for x in pool.random(lanes)] != \
+            if [float(x) for x in streams.random(np.arange(6))] != \
                     [ref[v].random() for v in range(6)]:
                 return False
             high = 10 ** 16
+            every = np.ones(6, dtype=bool)
             for _ in range(3):  # repeat to exercise rejection re-draws
-                drawn = pool.draw_ints(lanes, high)
+                drawn = streams.draw_ints_masked(every, high)
                 want = [int(ref[v].integers(1, high + 1)) for v in range(6)]
                 if [int(x) for x in drawn] != want:
                     return False
             # Materialization must continue the stream in place.
-            gen = pool.generator(2)
+            gen = streams.generator(2)
             if gen.random() != ref[2].random():
                 return False
             if [int(x) for x in gen.integers(0, 2 ** 62, size=3)] != \
                     [int(x) for x in ref[2].integers(0, 2 ** 62, size=3)]:
                 return False
         return True
+    except KernelBackendError:
+        # A forced-but-unavailable kernel backend is a configuration
+        # error, not a verdict on numpy's internals: raise it uncached.
+        raise
     except Exception:
         return False
 
@@ -1022,13 +694,14 @@ def _self_test() -> bool:
 def vector_streams_available(bounded_ranges: Sequence[int] = ()) -> bool:
     """Whether the vector limb engine would serve these draws.
 
-    The same eligibility rule and one-shot pipeline self-test the pool
+    The same eligibility rule and one-shot pipeline self-test the
     factories apply: every intended bounded-draw width must select
     Lemire's 64-bit path (width strictly between 2^32 - 1 and 2^64 - 1),
     and the vector pipeline must have passed its self-test against
-    numpy's own generators.  Grid callers check this up front —
-    :class:`GridReplicaStreams` has no fallback twin, so ineligible
-    graphs take the per-point path instead.
+    numpy's own generators.  With no ranges this is the self-test
+    verdict alone (reported by
+    :func:`repro.engine.dispatch.provider_status`).  The grid path
+    checks this up front and sends ineligible graphs per-point.
     """
     global _vector_verified
     if not all(_M32 < r < _M64 for r in bounded_ranges):
@@ -1038,34 +711,29 @@ def vector_streams_available(bounded_ranges: Sequence[int] = ()) -> bool:
     return _vector_verified
 
 
-def node_stream_pool(nodes: Iterable[NodeId], seed,
-                     *, bounded_ranges: Sequence[int] = ()) -> NodeStreamPool:
-    """A :class:`NodeStreamPool` over ``nodes``, vectorized when exact.
+def replica_node_streams(nodes: Iterable[NodeId], seeds: Sequence,
+                         *, bounded_ranges: Sequence[int] = ()
+                         ) -> LaneStreams:
+    """One-graph :class:`LaneStreams` over ``nodes`` (stable order), one
+    replica per seed, vectorized when exact.
 
     ``bounded_ranges`` lists the inclusive range widths of every
     ``integers``-style draw the caller intends to make; any width at or
     below 2^32 - 1 selects numpy's buffered 32-bit sampler, which the
-    vector engine does not model, so such callers get the fallback.
+    vector engine does not model, so such callers get generator-backed
+    lanes.  Replica ``r``'s streams equal ``spawn_node_rngs(nodes,
+    seeds[r])``'s, so batched multi-replica execution consumes each
+    (replica, node) stream identically to a sequential per-seed loop.
     """
     node_list = _stable_order(nodes)
-    if vector_streams_available(bounded_ranges):
-        return _VectorPool(node_list, seed)
-    return _FallbackPool(node_list, seed)
+    cls = LaneStreams if vector_streams_available(bounded_ranges) \
+        else _FallbackStreams
+    return cls([len(node_list)], seeds, node_list)
 
 
-def replica_node_streams(nodes: Iterable[NodeId], seeds: Sequence,
-                         *, bounded_ranges: Sequence[int] = ()
-                         ) -> ReplicaNodeStreams:
-    """R x n :class:`ReplicaNodeStreams`, one replica per seed,
-    vectorized when exact (same eligibility rules and one-shot pipeline
-    self-test as :func:`node_stream_pool`).
-
-    Replica ``r``'s streams are bit-exact equal to
-    ``node_stream_pool(nodes, seeds[r])``'s — batched multi-replica
-    execution therefore consumes each (replica, node) stream identically
-    to a sequential per-seed loop.
-    """
-    node_list = _stable_order(nodes)
-    if vector_streams_available(bounded_ranges):
-        return _VectorReplicaStreams(node_list, seeds)
-    return _FallbackReplicaStreams(node_list, seeds)
+def node_stream_pool(nodes: Iterable[NodeId], seed,
+                     *, bounded_ranges: Sequence[int] = ()) -> LaneStreams:
+    """The single-run streams of ``nodes`` — :func:`replica_node_streams`
+    with the one seed ``seed`` (R = G = 1; flat lane = node lane)."""
+    return replica_node_streams(nodes, [seed],
+                                bounded_ranges=bounded_ranges)

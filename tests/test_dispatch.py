@@ -280,6 +280,7 @@ class TestIntrospection:
         for entry, info in status["entry_points"].items():
             assert info["provider"] in ("native", "numba", "numpy")
             assert info["min_size"] == MIN_SIZE[entry]
+        assert status["vecrng"] == {"engine": "vector", "self_test": True}
         assert json.dumps(status)  # JSON-ready, no numpy scalars
 
     def test_status_reports_forced_unavailable(self, monkeypatch):
@@ -294,6 +295,28 @@ class TestIntrospection:
         info = status["entry_points"]["member_counts"]
         assert info["provider"] == "unavailable"
         assert "native" in info["error"]
+
+    def test_status_reports_vecrng_fallback(self, monkeypatch, auto):
+        from repro.simulation import vecrng
+        monkeypatch.setattr(vecrng, "_vector_verified", None)
+        monkeypatch.setattr(vecrng, "_self_test", lambda: False)
+        assert provider_status()["vecrng"] == {"engine": "fallback",
+                                               "self_test": False}
+
+    def test_forced_unavailable_backend_leaves_self_test_unjudged(
+            self, monkeypatch):
+        # A configuration error must not be cached as a failed verdict
+        # (that would silently route every later run to the fallback).
+        from repro.simulation import vecrng
+        monkeypatch.setattr(vecrng, "_vector_verified", None)
+        monkeypatch.setattr(_native, "_lib", None)
+        monkeypatch.setattr(_native, "_tried", False)
+        monkeypatch.setenv("REPRO_NATIVE", "0")
+        monkeypatch.setenv("REPRO_KERNEL_BACKEND", "native")
+        info = provider_status()["vecrng"]
+        assert info["engine"] == "unavailable"
+        assert "native" in info["error"]
+        assert vecrng._vector_verified is None
 
     def test_cli_kernels(self, capsys, auto):
         assert main(["kernels"]) == 0

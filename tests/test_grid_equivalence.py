@@ -7,7 +7,7 @@ CSRs block-diagonally, fusing the k axis over one shared Part I, and
 running the adoption phase cross-graph are *execution* strategies —
 never visible in the results.  The suite pins cell-level members,
 ``RunStats`` and details across same-size groups, mixed size classes,
-the per-point fallbacks (message mode, ``force_per_point``), the
+the per-point fallbacks (message mode, the written-out loop), the
 ``timing`` dispatch breakdown, degenerate axes, and native thread
 counts (subprocess matrix, since the worker pool is configured by
 environment at import-free call time).
@@ -23,7 +23,9 @@ from pathlib import Path
 
 import pytest
 
-from repro.core.udg import solve_kmds_udg_batch, solve_kmds_udg_grid
+from repro.core.udg import (UDGProgram, solve_kmds_udg_batch,
+                            solve_kmds_udg_grid)
+from repro.engine import execute_batch
 from repro.errors import GraphError
 from repro.graphs.udg import UnitDiskGraph, random_udg
 
@@ -87,15 +89,17 @@ class TestGridIdentity:
 
 
 class TestFallbacks:
-    def test_force_per_point_identical(self):
+    def test_per_point_loop_identical(self):
+        # The grid dispatch against the per-point loop execute_grid runs
+        # for ineligible graphs, written out over the engine surface.
         graphs = _graphs((GRID_N, GRID_N))
+        program = UDGProgram(graphs[0], KS[0], "random", SEEDS[0])
+        loop = [[execute_batch(program.grid_point(g, k), SEEDS) for k in KS]
+                for g in graphs]
         timing = {}
-        forced = solve_kmds_udg_grid(graphs, SEEDS, KS,
-                                     force_per_point=True, timing=timing)
-        assert timing["path"] == "per-point"
-        assert timing["grid_graphs"] == 0
-        assert timing["per_point_graphs"] == 2
-        _assert_cells_equal(forced, solve_kmds_udg_grid(graphs, SEEDS, KS))
+        grid = solve_kmds_udg_grid(graphs, SEEDS, KS, timing=timing)
+        assert timing["path"] == "grid"
+        _assert_cells_equal(grid, loop)
 
     def test_message_mode_goes_per_point(self):
         graphs = _graphs((40,))

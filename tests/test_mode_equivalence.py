@@ -210,6 +210,33 @@ def test_rounding_kernel_matches_reference_on_udg(seed):
     _assert_same_result(kernel, ref)
 
 
+@pytest.mark.parametrize("policy", ("random", "highest-x", "self-first"))
+def test_rounding_kernel_matches_reference_on_tuple_ids(policy):
+    # Non-integer node ids: the stable lane order sorts ("n", "10")
+    # before ("n", "2"), so lane order is a real permutation of the
+    # graph's insertion order.  Both the one-seed kernel and the
+    # replica batch must draw each node's own stream.
+    from repro.core.lp import CoveringLP
+    from repro.core.rounding import RoundingProgram
+    from repro.engine import execute, execute_batch
+
+    g = nx.relabel_nodes(_graph(3), lambda v: ("n", str(v)))
+    cov = feasible_coverage(g, 2)
+    # A deliberately small x leaves most nodes deficient, so Lines 4-7
+    # (each deficient node's requests, drawn from a generator handed
+    # off at its lane) run for many lanes.
+    x = {v: 0.02 * (1 + i % 5) for i, v in enumerate(g)}
+    program = RoundingProgram(CoveringLP(g, cov), x, policy, 0)
+    batch = execute_batch(program, SEEDS, "direct")
+    for one, seed in zip(batch, SEEDS):
+        ref = execute(program, "direct", seed=seed, reference_direct=True)
+        assert ref.details["requested"] > 0
+        _assert_same_result(one, ref)
+        _assert_same_result(
+            randomized_rounding(g, x, coverage=cov, policy=policy,
+                                mode="direct", seed=seed), ref)
+
+
 # ----------------------------------------------------------------------
 # Replica-batched execution: execute_batch on the direct backend must
 # be bit-identical, per replica, to the sequential ``[execute(program,
@@ -324,6 +351,25 @@ def test_batch_with_empty_seed_list():
 
     udg = random_udg(20, density=6.0, seed=0)
     assert solve_kmds_udg_batch(udg, (), k=1) == []
+
+
+def test_batch_with_none_seeds_is_one_kernel_call(monkeypatch):
+    from repro.core.udg import UDGProgram, solve_kmds_udg_batch
+    from repro.core.verify import is_k_dominating_set
+
+    calls = []
+    kernel = UDGProgram.direct_batch
+
+    def counting(self, instrs, seeds):
+        calls.append(len(seeds))
+        return kernel(self, instrs, seeds)
+
+    monkeypatch.setattr(UDGProgram, "direct_batch", counting)
+    udg = random_udg(300, density=9.0, seed=6)
+    batch = solve_kmds_udg_batch(udg, [None] * 4, k=2)
+    assert calls == [4]
+    for one in batch:
+        assert is_k_dominating_set(udg, one.members, 2)
 
 
 def test_elect_round_batch_accepts_precompressed_within():

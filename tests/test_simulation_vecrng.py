@@ -1,19 +1,21 @@
-"""Unit tests for the vectorized per-node / per-(replica, node) RNG
-streams (:mod:`repro.simulation.vecrng`).
+"""Unit tests for the vectorized per-(replica, graph, node) RNG streams
+(:mod:`repro.simulation.vecrng`).
 
 The module's contract is bit-exactness against numpy's own generators:
 every draw a lane makes must equal what the corresponding
-``spawn_node_rngs`` generator would have produced, and replica ``r`` of
-a :class:`ReplicaNodeStreams` must be indistinguishable from a
-single-run pool seeded with ``seeds[r]``.  These tests pin that
-contract plus the edge cases the engine relies on: lane handoff to
-materialized generators, the ``bounded_ranges`` 32-bit fallback
-routing, masked draws with ``need`` and ``out=``, and native-vs-numpy
-equality for the compiled masked-draw kernel.
+``spawn_node_rngs`` generator would have produced, whether the lane
+space holds one run, a seed sweep, or a stack of graphs of different
+sizes, and whether the vector engine or the generator-backed fallback
+serves it.  These tests pin that contract plus the edge cases the
+engine relies on: lane handoff to materialized generators, the
+``bounded_ranges`` 32-bit fallback routing, masked draws with ``need``
+and ``out=``, and native-vs-numpy equality for the compiled
+masked-draw kernel.
 """
 
 from __future__ import annotations
 
+import networkx as nx
 import numpy as np
 import pytest
 
@@ -38,6 +40,84 @@ def _ref_ints(rngs, high=HIGH, n=N):
     return [int(rngs[v].integers(1, high + 1)) for v in range(n)]
 
 
+def _draw(streams, lanes, high=HIGH):
+    """Bounded draws on ``lanes`` (ascending flat lanes) only."""
+    mask = np.zeros(streams.replicas * streams.total, dtype=bool)
+    mask[lanes] = True
+    return streams.draw_ints_masked(mask, high)[lanes]
+
+
+def _draw_all(streams, high=HIGH):
+    every = np.ones(streams.replicas * streams.total, dtype=bool)
+    return streams.draw_ints_masked(every, high)
+
+
+# ----------------------------------------------------------------------
+# One lane space: every (replica, graph, node) lane is its
+# spawn_node_rngs stream, on both engines
+# ----------------------------------------------------------------------
+
+def _tuple_ids(n):
+    # Non-integer ids whose stable (sorted) order is not insertion
+    # order: ("n", "10") sorts before ("n", "2").
+    return list(nx.relabel_nodes(nx.path_graph(n),
+                                 lambda v: ("n", str(v))).nodes)
+
+
+LANE_SPACES = {
+    # name: (per-graph node ids, seeds)
+    "R1": ([range(N)], (5,)),
+    "R3": ([range(N)], SEEDS),
+    "G3-unequal": ([range(5), range(12), range(3)], (0, 7)),
+    "tuple-ids": ([_tuple_ids(12)], (0, 7)),
+}
+
+
+@pytest.mark.parametrize("engine", ("vector", "fallback"))
+@pytest.mark.parametrize("space", sorted(LANE_SPACES))
+def test_lane_space_matches_spawn_node_rngs(space, engine):
+    graphs, seeds = LANE_SPACES[space]
+    cls = vecrng.LaneStreams if engine == "vector" \
+        else vecrng._FallbackStreams
+    if len(graphs) == 1:
+        ranges = RANGES if engine == "vector" else (1000,)
+        streams = replica_node_streams(graphs[0], seeds,
+                                       bounded_ranges=ranges)
+        assert type(streams) is cls
+    else:
+        streams = cls([len(g) for g in graphs], seeds)
+        assert streams.nodes is None and streams.lane is None
+    # Reference generator of every flat lane.
+    ref = [None] * (len(seeds) * streams.total)
+    for r, seed in enumerate(seeds):
+        for g, nodes in enumerate(graphs):
+            rngs = spawn_node_rngs(nodes, seed)
+            order = streams.nodes if len(graphs) == 1 else list(nodes)
+            assert sorted(order, key=repr) == sorted(rngs, key=repr)
+            for i, v in enumerate(order):
+                if len(graphs) == 1:
+                    assert streams.lane[v] == i
+                ref[streams.flat_lane(r, streams.offsets[g] + i)] = rngs[v]
+    lanes = np.arange(len(ref))
+
+    assert streams.random(lanes).tolist() == [x.random() for x in ref]
+    rng = np.random.default_rng(3)
+    for density in (0.9, 0.6, 0.2):  # dense and gathered chunk paths
+        mask = rng.random(len(ref)) < density
+        drawn = streams.draw_ints_masked(mask, HIGH)
+        assert drawn[mask].tolist() == [
+            int(ref[i].integers(1, HIGH + 1)) for i in lanes[mask]]
+    # Handoff: an owned generator and a state snapshot both continue
+    # their lane's stream in place.
+    owned, snap = len(ref) - 1, len(ref) // 2
+    gen = streams.generator(owned)
+    assert gen.random() == ref[owned].random()
+    bg = vecrng.materialize_bit_generator()
+    bg.state = streams.snapshot_state(snap)
+    assert np.random.Generator(bg).integers(1, HIGH + 1) \
+        == ref[snap].integers(1, HIGH + 1)
+
+
 # ----------------------------------------------------------------------
 # Replica bit-exactness: lane (r, v) == single pool seeded seeds[r]
 # ----------------------------------------------------------------------
@@ -46,22 +126,18 @@ class TestReplicaBitExactness:
     def test_replica_lanes_equal_single_pools(self):
         streams = replica_node_streams(range(N), SEEDS,
                                        bounded_ranges=RANGES)
-        all_lanes = np.arange(streams.replicas * N)
-        rounds = [streams.draw_ints(all_lanes, HIGH).reshape(-1, N)
-                  for _ in range(2)]
+        rounds = [_draw_all(streams).reshape(-1, N) for _ in range(2)]
         for r, seed in enumerate(SEEDS):
             pool = node_stream_pool(range(N), seed, bounded_ranges=RANGES)
             for drawn in rounds:  # stream positions must track per round
-                want = pool.draw_ints(np.arange(N), HIGH)
-                assert drawn[r].tolist() == want.tolist()
+                assert drawn[r].tolist() == _draw_all(pool).tolist()
 
     def test_replica_streams_equal_real_generators(self):
         streams = replica_node_streams(range(N), SEEDS,
                                        bounded_ranges=RANGES)
         refs = [_reference(s) for s in SEEDS]
-        all_lanes = np.arange(streams.replicas * N)
         for _ in range(3):  # rejection re-draws happen across rounds
-            drawn = streams.draw_ints(all_lanes, HIGH).reshape(-1, N)
+            drawn = _draw_all(streams).reshape(-1, N)
             for r in range(len(SEEDS)):
                 assert drawn[r].tolist() == _ref_ints(refs[r])
 
@@ -79,34 +155,36 @@ class TestReplicaBitExactness:
         streams = replica_node_streams(range(N), SEEDS[:2],
                                        bounded_ranges=RANGES)
         for _ in range(5):
-            streams.draw_ints(np.arange(N), HIGH)  # replica 0 only
+            _draw(streams, np.arange(N))  # replica 0 only
         ref = _reference(SEEDS[1])
-        drawn = streams.draw_ints(np.arange(N) + N, HIGH)
-        assert drawn.tolist() == _ref_ints(ref)
+        assert _draw(streams, np.arange(N) + N).tolist() == _ref_ints(ref)
 
     def test_duplicate_seeds_yield_identical_independent_replicas(self):
         streams = replica_node_streams(range(N), (3, 3),
                                        bounded_ranges=RANGES)
-        a = streams.draw_ints(np.arange(N), HIGH)
-        b = streams.draw_ints(np.arange(N) + N, HIGH)
+        a = _draw(streams, np.arange(N))
+        b = _draw(streams, np.arange(N) + N)
         assert a.tolist() == b.tolist()
 
-    def test_replica_pool_view_offsets_lanes(self):
+    def test_flat_lane_addresses_replica_streams(self):
         streams = replica_node_streams(range(N), SEEDS[:2],
                                        bounded_ranges=RANGES)
-        view = streams.replica_pool(1)
         ref = _reference(SEEDS[1])
-        assert view.draw_ints(np.arange(N), HIGH).tolist() == _ref_ints(ref)
-        # View draws advance the shared streams, not a copy.
-        drawn = streams.draw_ints(np.arange(N) + N, HIGH)
-        assert drawn.tolist() == _ref_ints(ref)
+        lanes = np.array([streams.flat_lane(1, v) for v in range(N)])
+        assert _draw(streams, lanes).tolist() == _ref_ints(ref)
+        # Handoff at a flat lane continues the shared stream, not a copy.
+        gen = streams.generator(streams.flat_lane(1, 4))
+        assert gen.integers(1, HIGH + 1) == ref[4].integers(1, HIGH + 1)
 
     def test_flat_lane_arithmetic(self):
         streams = replica_node_streams(range(N), SEEDS,
                                        bounded_ranges=RANGES)
-        assert streams.n == N
+        assert streams.total == N
         assert streams.replicas == len(SEEDS)
         assert streams.flat_lane(2, 3) == 2 * N + 3
+        grid = vecrng.LaneStreams([5, 12, 3], SEEDS)
+        assert grid.total == 20 and grid.offsets == [0, 5, 17, 20]
+        assert grid.flat_lane(2, grid.offsets[2] + 1) == 2 * 20 + 17 + 1
 
     def test_heavy_rejection_matches_reference(self):
         # high ~ 2^62 makes Lemire reject ~a quarter of all raw words,
@@ -116,15 +194,14 @@ class TestReplicaBitExactness:
                                        bounded_ranges=(high - 1,))
         refs = [_reference(s) for s in SEEDS[:2]]
         for _ in range(4):
-            drawn = streams.draw_ints(np.arange(2 * N), high).reshape(-1, N)
+            drawn = _draw_all(streams, high).reshape(-1, N)
             for r in range(2):
                 assert drawn[r].tolist() == _ref_ints(refs[r], high=high)
 
     def test_empty_seed_list(self):
         streams = replica_node_streams(range(N), (), bounded_ranges=RANGES)
         assert streams.replicas == 0
-        out = streams.draw_ints(np.array([], dtype=np.int64), HIGH)
-        assert out.size == 0
+        assert _draw_all(streams).size == 0
 
 
 # ----------------------------------------------------------------------
@@ -135,7 +212,7 @@ class TestGeneratorHandoff:
     def test_generator_continues_stream_in_place(self):
         pool = node_stream_pool(range(N), 5, bounded_ranges=RANGES)
         ref = _reference(5)
-        pool.draw_ints(np.arange(N), HIGH)
+        _draw_all(pool)
         _ref_ints(ref)
         gen = pool.generator(2)
         assert gen.random() == ref[2].random()
@@ -148,8 +225,6 @@ class TestGeneratorHandoff:
     def test_vector_draw_on_claimed_lane_raises(self):
         pool = node_stream_pool(range(N), 5, bounded_ranges=RANGES)
         pool.generator(3)
-        with pytest.raises(RuntimeError, match="owned by materialized"):
-            pool.draw_ints(np.arange(N), HIGH)
         with pytest.raises(RuntimeError, match="owned by materialized"):
             pool.random(np.arange(N))
         mask = np.ones(N, dtype=bool)
@@ -174,11 +249,10 @@ class TestGeneratorHandoff:
                                        bounded_ranges=RANGES)
         streams.generator(N + 1)  # node 1 of replica 1
         with pytest.raises(RuntimeError, match="owned by materialized"):
-            streams.draw_ints(np.arange(2 * N), HIGH)
+            _draw_all(streams)
         # Replica 0's lanes remain vector-drawable.
         ref = _reference(SEEDS[0])
-        assert streams.draw_ints(np.arange(N), HIGH).tolist() \
-            == _ref_ints(ref)
+        assert _draw(streams, np.arange(N)).tolist() == _ref_ints(ref)
 
     def test_claimed_lane_raises_on_native_sized_masked_draw(self):
         # 2048+ lanes routes masked draws through the compiled kernel
@@ -199,30 +273,29 @@ class TestGeneratorHandoff:
 class TestBoundedRangesRouting:
     def test_small_range_selects_fallback_pool(self):
         pool = node_stream_pool(range(N), 0, bounded_ranges=(1000,))
-        assert isinstance(pool, vecrng._FallbackPool)
+        assert isinstance(pool, vecrng._FallbackStreams)
         ref = _reference(0)
-        assert pool.draw_ints(np.arange(N), 1000).tolist() \
-            == _ref_ints(ref, high=1000)
+        assert _draw_all(pool, 1000).tolist() == _ref_ints(ref, high=1000)
 
     def test_boundary_width_selects_fallback(self):
         # 2^32 - 1 is the last width numpy serves from the buffered
         # 32-bit sampler; 2^32 is the first Lemire-64 width.
         small = node_stream_pool(range(2), 0, bounded_ranges=((1 << 32) - 1,))
-        assert isinstance(small, vecrng._FallbackPool)
+        assert isinstance(small, vecrng._FallbackStreams)
         large = node_stream_pool(range(2), 0, bounded_ranges=((1 << 32),))
-        assert not isinstance(large, vecrng._FallbackPool)
+        assert not isinstance(large, vecrng._FallbackStreams)
 
     def test_full_width_selects_fallback(self):
         # 2^64 - 1 (integers(0, 2^64)) is masked, not Lemire: fallback.
         pool = node_stream_pool(range(2), 0, bounded_ranges=((1 << 64) - 1,))
-        assert isinstance(pool, vecrng._FallbackPool)
+        assert isinstance(pool, vecrng._FallbackStreams)
 
     def test_small_range_selects_replica_fallback(self):
         streams = replica_node_streams(range(N), SEEDS[:2],
                                        bounded_ranges=(1000,))
-        assert isinstance(streams, vecrng._FallbackReplicaStreams)
+        assert isinstance(streams, vecrng._FallbackStreams)
         refs = [_reference(s) for s in SEEDS[:2]]
-        drawn = streams.draw_ints(np.arange(2 * N), 1000).reshape(-1, N)
+        drawn = _draw_all(streams, 1000).reshape(-1, N)
         for r in range(2):
             assert drawn[r].tolist() == _ref_ints(refs[r], high=1000)
 
@@ -234,7 +307,7 @@ class TestBoundedRangesRouting:
         mask[N:] = True
         drawn = streams.draw_ints_masked(mask, 1000)
         assert drawn[N:].tolist() == _ref_ints(ref, high=1000)
-        assert drawn[:N].tolist() == [0] * N  # generic form zero-fills
+        assert drawn[:N].tolist() == [0] * N  # the fallback zero-fills
         gen = streams.generator(N + 4)
         assert gen.integers(1, 1001) == ref[4].integers(1, 1001)
 
@@ -242,10 +315,10 @@ class TestBoundedRangesRouting:
         monkeypatch.setattr(vecrng, "_vector_verified", None)
         monkeypatch.setattr(vecrng, "_self_test", lambda: False)
         pool = node_stream_pool(range(N), 0, bounded_ranges=RANGES)
-        assert isinstance(pool, vecrng._FallbackPool)
+        assert isinstance(pool, vecrng._FallbackStreams)
         streams = replica_node_streams(range(N), SEEDS[:2],
                                        bounded_ranges=RANGES)
-        assert isinstance(streams, vecrng._FallbackReplicaStreams)
+        assert isinstance(streams, vecrng._FallbackStreams)
 
     def test_self_test_passes_for_real(self):
         assert vecrng._self_test()
@@ -257,16 +330,17 @@ class TestBoundedRangesRouting:
 
 class TestMaskedDraws:
     def test_masked_equals_gathered(self):
+        # One masked call vs one lane at a time: same values, and idle
+        # lanes keep their stream positions.
         a = node_stream_pool(range(N), 9, bounded_ranges=RANGES)
         b = node_stream_pool(range(N), 9, bounded_ranges=RANGES)
         mask = np.array([True, False, True, True, False, True, False, True])
         lanes = np.nonzero(mask)[0]
         drawn = a.draw_ints_masked(mask, HIGH)
-        assert drawn[mask].tolist() == b.draw_ints(lanes, HIGH).tolist()
-        # Idle lanes kept their stream positions.
+        assert drawn[mask].tolist() \
+            == [int(_draw(b, [i])[0]) for i in lanes.tolist()]
         idle = np.nonzero(~mask)[0]
-        assert a.draw_ints(idle, HIGH).tolist() \
-            == b.draw_ints(idle, HIGH).tolist()
+        assert _draw(a, idle).tolist() == _draw(b, idle).tolist()
 
     def test_need_advances_streams_identically(self):
         a = node_stream_pool(range(N), 11, bounded_ranges=RANGES)
@@ -278,8 +352,7 @@ class TestMaskedDraws:
         full = b.draw_ints_masked(mask, HIGH)
         assert with_need[need].tolist() == full[need].tolist()
         # Unneeded lanes still consumed their word: next draws agree.
-        assert a.draw_ints(np.arange(N), HIGH).tolist() \
-            == b.draw_ints(np.arange(N), HIGH).tolist()
+        assert _draw_all(a).tolist() == _draw_all(b).tolist()
 
     def test_out_written_in_place_and_returned(self):
         pool = node_stream_pool(range(N), 13, bounded_ranges=RANGES)
@@ -326,10 +399,11 @@ class TestMaskedDraws:
             mask = rng.random(N * 4) < density
             nodes = range(N * 4)
             a = node_stream_pool(nodes, 21, bounded_ranges=RANGES)
-            b = node_stream_pool(nodes, 21, bounded_ranges=RANGES)
+            refs = _reference(21, n=N * 4)
             drawn = a.draw_ints_masked(mask, HIGH)
-            want = b.draw_ints(np.nonzero(mask)[0], HIGH)
-            assert drawn[mask].tolist() == want.tolist()
+            want = [int(refs[v].integers(1, HIGH + 1))
+                    for v in np.nonzero(mask)[0].tolist()]
+            assert drawn[mask].tolist() == want
 
 
 # ----------------------------------------------------------------------
@@ -400,8 +474,7 @@ class TestNativeDegradation:
     def _draw():
         streams = replica_node_streams(range(N), SEEDS,
                                        bounded_ranges=RANGES)
-        lanes = np.arange(len(SEEDS) * N)
-        return streams.draw_ints(lanes, HIGH).tolist()
+        return _draw_all(streams).tolist()
 
     def test_env_disable_is_clean_and_identical(self, fresh_native,
                                                 monkeypatch):
